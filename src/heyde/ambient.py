@@ -14,7 +14,7 @@ where B is the adjoint matrix of alpha_G.
 
 from __future__ import annotations
 
-import cmath
+import math
 from dataclasses import dataclass
 
 from .finite_abelian import (
@@ -22,7 +22,7 @@ from .finite_abelian import (
     FiniteAbelianGroup,
     GroupAutomorphism,
     GroupElement,
-    eval_character,
+    pairing,
 )
 
 __all__ = [
@@ -55,7 +55,10 @@ class AmbientGroup:
             gg = g
         else:
             gg = self.G.element(g)
-        return XPoint(self, float(t), int(m) % 2, gg)
+        t = float(t)
+        if not math.isfinite(t):
+            raise ValueError(f"real coordinate t must be finite, got {t}")
+        return XPoint(self, t, int(m) % 2, gg)
 
     def dual_point(self, s: float, n: int, h) -> "YPoint":
         if isinstance(h, DualCharacter):
@@ -139,8 +142,9 @@ def pair(x: XPoint, y: YPoint) -> complex:
     """Value of the character y at the point x."""
     if x.group != y.group:
         raise ValueError("point and dual point belong to different groups")
-    sign = -1.0 if (x.m * y.n) % 2 else 1.0
-    return cmath.exp(1j * x.t * y.s) * sign * eval_character(y.h, x.g)
+    return complex(
+        pairing(x.group.G, x.g.coords, y.h.coords, [x.m], [y.n], [x.t], [y.s])[0, 0]
+    )
 
 
 @dataclass(frozen=True)
@@ -152,8 +156,8 @@ class XAutomorphism:
     alpha_G: GroupAutomorphism
 
     def __post_init__(self) -> None:
-        if self.a == 0.0:
-            raise ValueError("real scale a must be nonzero")
+        if self.a == 0.0 or not math.isfinite(self.a):
+            raise ValueError(f"real scale a must be finite and nonzero, got {self.a}")
         if self.alpha_G.group != self.group.G:
             raise ValueError("alpha_G acts on a different finite group")
         object.__setattr__(self, "a", float(self.a))

@@ -227,7 +227,7 @@ def cmd_generate(args) -> int:
             args.json,
         )
         return EXIT_VIOLATED
-    out = {"command": "generate", "version": __version__, "seed": args.seed}
+    out = {"command": "generate", "version": __version__}
     out["group"] = group.to_json()
     out.update(inst.to_json())
     _emit(out, args.json)
@@ -384,7 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="build an exact instance from building blocks")
     add_common(p)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("decompose", help="recover the canonical factorization")

@@ -2,9 +2,12 @@
 
 A group is Z(n_1) x ... x Z(n_r).  Elements are residue vectors, and the
 dual group is identified with the same product: the character labelled by
-h sends g to exp(2*pi*i * sum_k g_k*h_k / n_k).  Character values are
-computed through an integer phase reduced mod lcm(n_1..n_r), so they are
-exact roots of unity up to one complex exponential rounding.
+h sends g to exp(2*pi*i * sum_k g_k*h_k / n_k).  Every character value in
+the package comes from one vectorized kernel, pairing_phase() with its
+value form pairing(), which also carries the R and Z(2) slots of the
+ambient group; it reduces the finite phase to an integer numerator mod
+lcm(n_1..n_r), so values are exact roots of unity up to one complex
+exponential rounding.
 
 Automorphisms are integer matrices acting on residue vectors.  A matrix A
 gives a well defined endomorphism iff A[k][j]*n_j = 0 mod n_k for all j, k;
@@ -14,7 +17,6 @@ group order.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from itertools import product
@@ -28,6 +30,8 @@ __all__ = [
     "DualCharacter",
     "GroupAutomorphism",
     "eval_character",
+    "pairing",
+    "pairing_phase",
     "order_of",
     "kernel_of_I_plus",
     "restriction_is_minus_identity",
@@ -97,34 +101,23 @@ class FiniteAbelianGroup:
         for coords in product(*(range(n) for n in self.cyclic_orders)):
             yield DualCharacter(self, coords)
 
-    def index_of(self, coords) -> int:
-        """Mixed-radix index of a residue vector, row-major over elements().
+    def index_of(self, coords):
+        """Mixed-radix index of residue vectors, row-major over elements().
 
-        Accepts a plain coordinate sequence, a GroupElement, or a
-        DualCharacter (dual coordinates index the same radix grid).
+        Accepts a plain coordinate sequence, a GroupElement, a DualCharacter
+        (dual coordinates index the same radix grid), or an integer array
+        whose last axis holds coordinates, which gives an array of indices.
         """
         if isinstance(coords, (GroupElement, DualCharacter)):
             coords = coords.coords
-        idx = 0
-        for c, n in zip(coords, self.cyclic_orders):
-            idx = idx * n + (c % n)
-        return idx
-
-    def coords_at(self, index: int) -> tuple[int, ...]:
-        if not 0 <= index < self.order:
-            raise ValueError(f"index {index} out of range for group of order {self.order}")
-        coords = []
-        for n in reversed(self.cyclic_orders):
-            coords.append(index % n)
-            index //= n
-        return tuple(reversed(coords))
+        orders = np.array(self.cyclic_orders, dtype=np.int64)
+        reduced = np.asarray(coords, dtype=np.int64) % orders
+        flat = np.ravel_multi_index(tuple(np.moveaxis(reduced, -1, 0)), self.cyclic_orders)
+        return flat if np.ndim(flat) else int(flat)
 
     def all_coords(self) -> np.ndarray:
         """All residue vectors as an (order, rank) integer array, index order."""
-        out = np.zeros((self.order, self.rank), dtype=np.int64)
-        for j, coords in enumerate(product(*(range(n) for n in self.cyclic_orders))):
-            out[j] = coords
-        return out
+        return np.indices(self.cyclic_orders, dtype=np.int64).reshape(self.rank, self.order).T
 
     def to_json(self) -> dict:
         return {"cyclic_orders": list(self.cyclic_orders)}
@@ -200,23 +193,48 @@ class DualCharacter:
         return list(self.coords)
 
 
-def _phase_numerator(
-    g_coords: Sequence[int], h_coords: Sequence[int], orders: Sequence[int], lcm: int
-) -> int:
-    total = 0
-    for g, h, n in zip(g_coords, h_coords, orders):
-        total += g * h * (lcm // n)
-    return total % lcm
+def pairing_phase(group: FiniteAbelianGroup, g, h, m=None, n=None, t=None, s=None):
+    """Phase and parity of the pairing at K points by Q dual points.
+
+    The pairing of (t, m, g) with (s, n, h) is (-1)**odd * exp(i*angle),
+    angle = t*s + 2*pi*num/lcm and odd = m*n mod 2, where num is the finite
+    phase as an integer numerator mod lcm.  g is a (K, rank) and h a
+    (Q, rank) array of residue vectors; m and t have shape (K,), n and s
+    shape (Q,), and omitted Z(2) or R slots are 0 (odd is then None).
+    Returns angle and odd as (K, Q) arrays.
+    """
+    orders = np.array(group.cyclic_orders, dtype=np.int64)
+    lcm = group.exponent_lcm
+    g = np.asarray(g, dtype=np.int64).reshape(-1, group.rank)
+    h = np.asarray(h, dtype=np.int64).reshape(-1, group.rank)
+    nums = (g @ (h % orders * (lcm // orders)).T) % lcm
+    angle = 2.0 * np.pi * (nums / lcm)
+    if t is not None:
+        angle += np.multiply.outer(np.asarray(t, dtype=float), np.asarray(s, dtype=float))
+    odd = None
+    if m is not None:
+        parity = np.multiply.outer(np.asarray(m, dtype=np.int64), np.asarray(n, dtype=np.int64))
+        odd = parity & 1 == 1
+    return angle, odd
+
+
+def pairing(group: FiniteAbelianGroup, g, h, m=None, n=None, t=None, s=None) -> np.ndarray:
+    """Values exp(i*t*s) * (-1)**(m*n) * (g, h) at K points by Q dual points.
+
+    Arguments as in pairing_phase; the parity enters as an exact sign.  The
+    result has shape (K, Q).
+    """
+    angle, odd = pairing_phase(group, g, h, m, n, t, s)
+    vals = np.exp(1j * angle)
+    if odd is not None:
+        np.negative(vals, out=vals, where=odd)
+    return vals
 
 
 def eval_character(h: DualCharacter, g: GroupElement) -> complex:
     """Value of the character h at the element g, a root of unity."""
     _check_same_group(h, g)
-    lcm = g.group.exponent_lcm
-    num = _phase_numerator(g.coords, h.coords, g.group.cyclic_orders, lcm)
-    if num == 0:
-        return 1.0 + 0.0j
-    return cmath.exp(2j * math.pi * (num / lcm))
+    return complex(pairing(g.group, g.coords, h.coords)[0, 0])
 
 
 def order_of(g: GroupElement) -> int:
@@ -225,13 +243,13 @@ def order_of(g: GroupElement) -> int:
 
 
 def char_table(group: FiniteAbelianGroup) -> np.ndarray:
-    """Complex table T[i, j] = value of character j at element i, index order."""
+    """Dense table T[i, j] = value of character j at element i, index order.
+
+    A reference for tests; evaluation code calls pairing() on the points it
+    needs instead of building this |G| x |G| table.
+    """
     coords = group.all_coords()
-    lcm = group.exponent_lcm
-    weights = np.array([lcm // n for n in group.cyclic_orders], dtype=np.int64)
-    # integer phase numerators mod lcm keep exp arguments inside [0, 2*pi)
-    nums = (coords * weights[None, :]) @ coords.T % lcm
-    return np.exp(2j * np.pi * (nums / lcm))
+    return pairing(group, coords, coords)
 
 
 @dataclass(frozen=True)
@@ -272,15 +290,7 @@ class GroupAutomorphism:
             raise ValueError("matrix is not bijective on the group")
 
     def _is_bijective(self) -> bool:
-        coords = self.group.all_coords()
-        mat = np.array(self.matrix, dtype=np.int64)
-        images = coords @ mat.T
-        orders = np.array(self.group.cyclic_orders, dtype=np.int64)
-        images %= orders[None, :]
-        flat = np.zeros(len(images), dtype=np.int64)
-        for k, n in enumerate(self.group.cyclic_orders):
-            flat = flat * n + images[:, k]
-        return len(np.unique(flat)) == self.group.order
+        return len(np.unique(self.index_map())) == self.group.order
 
     def _apply_coords(self, coords: Sequence[int]) -> tuple[int, ...]:
         orders = self.group.cyclic_orders
@@ -308,27 +318,15 @@ class GroupAutomorphism:
         B[j][k] = A[k][j] * n_j / n_k, an integer exactly when A is well
         defined.
         """
-        orders = self.group.cyclic_orders
-        r = self.group.rank
-        rows = []
-        for j in range(r):
-            row = []
-            for k in range(r):
-                num = self.matrix[k][j] * orders[j]
-                row.append((num // orders[k]) % orders[j])
-            rows.append(tuple(row))
-        return GroupAutomorphism(self.group, tuple(rows))
+        orders = np.array(self.group.cyclic_orders, dtype=np.int64)
+        mat = np.array(self.matrix, dtype=np.int64)
+        adj = mat.T * orders[:, None] // orders[None, :] % orders[:, None]
+        return GroupAutomorphism(self.group, tuple(map(tuple, adj.tolist())))
 
     def index_map(self) -> np.ndarray:
         """Permutation p with p[index_of(x)] = index_of(self(x))."""
-        coords = self.group.all_coords()
         mat = np.array(self.matrix, dtype=np.int64)
-        orders = np.array(self.group.cyclic_orders, dtype=np.int64)
-        images = coords @ mat.T % orders[None, :]
-        flat = np.zeros(len(images), dtype=np.int64)
-        for k, n in enumerate(self.group.cyclic_orders):
-            flat = flat * n + images[:, k]
-        return flat
+        return self.group.index_of(self.group.all_coords() @ mat.T)
 
     def to_json(self) -> dict:
         return {"matrix": [list(row) for row in self.matrix]}
@@ -355,11 +353,10 @@ def scalar_automorphism(group: FiniteAbelianGroup, k: int) -> GroupAutomorphism:
 
 def kernel_of_I_plus(alpha: GroupAutomorphism) -> list[GroupElement]:
     """Elements g with g + alpha(g) = 0, in enumeration order."""
-    out = []
-    for g in alpha.group.elements():
-        if (g + alpha(g)).is_zero:
-            out.append(g)
-    return out
+    G = alpha.group
+    coords = G.all_coords()
+    sums = (coords + coords @ np.array(alpha.matrix, dtype=np.int64).T) % G.cyclic_orders
+    return [G.element(c) for c in coords[~sums.any(axis=1)]]
 
 
 def is_subgroup(group: FiniteAbelianGroup, elements: Iterable[GroupElement]) -> bool:

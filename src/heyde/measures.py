@@ -12,19 +12,20 @@ point mass at the shift.  The variance of the sigma-Gaussian is 2*sigma.
 Convolution is termwise: coefficients multiply, sigmas and shifts add, and
 finite coordinates add.  Canonical form merges terms whose (sigma, shift,
 m, g) keys match exactly and drops coefficients within 1e-14 of zero.
+char_values is the one evaluator of characteristic functions; every other
+evaluation in the package is a call to it or to the pairing kernel.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .ambient import AmbientGroup, XPoint, YPoint, pair
-from .finite_abelian import GroupElement, eval_character
+from .ambient import AmbientGroup, XPoint, YPoint
+from .finite_abelian import GroupElement, pairing
 
 __all__ = [
     "RealAtom",
@@ -32,7 +33,9 @@ __all__ = [
     "AtomicSignedMeasure",
     "DistributionVerdict",
     "dirac",
+    "order_two_measure",
     "convolve",
+    "char_values",
     "char_fn",
     "density_profile",
     "two_term_bound",
@@ -59,9 +62,6 @@ class RealAtom:
             raise ValueError(f"sigma must be >= 0, got {self.sigma}")
         object.__setattr__(self, "sigma", float(self.sigma))
         object.__setattr__(self, "shift", float(self.shift))
-
-    def char(self, s: complex) -> complex:
-        return cmath.exp(-self.sigma * s * s + 1j * self.shift * s)
 
     def density(self, t):
         """Continuous density; only defined for sigma > 0."""
@@ -95,14 +95,20 @@ class AtomicSignedMeasure:
         terms: Iterable[tuple[float, float, float, int, Sequence[int] | GroupElement]],
         drop_tol: float = DROP_TOL,
     ) -> "AtomicSignedMeasure":
-        """Build from (c, sigma, shift, m, g) tuples, canonicalizing."""
+        """Build from (c, sigma, shift, m, g) tuples, canonicalizing.
+
+        NaN or infinite c, sigma or shift raise ValueError.
+        """
         merged: dict[tuple, float] = {}
         for c, sigma, shift, m, g in terms:
+            c, sigma, shift = float(c), float(sigma), float(shift)
+            if not (math.isfinite(c) and math.isfinite(sigma) and math.isfinite(shift)):
+                raise ValueError(f"non-finite term: c={c}, sigma={sigma}, shift={shift}")
             gg = g if isinstance(g, GroupElement) else group.G.element(g)
             if gg.group != group.G:
                 raise ValueError("finite coordinate belongs to a different group")
-            key = (float(sigma), float(shift), int(m) % 2, gg.coords)
-            merged[key] = merged.get(key, 0.0) + float(c)
+            key = (sigma, shift, int(m) % 2, gg.coords)
+            merged[key] = merged.get(key, 0.0) + c
         out = []
         for (sigma, shift, m, coords), c in merged.items():
             if abs(c) <= drop_tol:
@@ -203,15 +209,52 @@ def convolve(mu: AtomicSignedMeasure, nu: AtomicSignedMeasure) -> AtomicSignedMe
     return AtomicSignedMeasure.from_terms(mu.group, raw)
 
 
+def order_two_measure(group: AmbientGroup, d: float) -> AtomicSignedMeasure:
+    """((1 + d)/2) E_0 + ((1 - d)/2) E_p with p the order-2 point.
+
+    Its characteristic function is 1 at n = 0 and d at n = 1; any real d is
+    accepted, and the measure is a distribution exactly when |d| <= 1.
+    """
+    zero = group.G.zero()
+    return AtomicSignedMeasure.from_terms(
+        group, [((1.0 + d) / 2.0, 0.0, 0.0, 0, zero), ((1.0 - d) / 2.0, 0.0, 0.0, 1, zero)]
+    )
+
+
+def char_values(mu: AtomicSignedMeasure, s, n=None, h=None) -> np.ndarray:
+    """Characteristic function of mu at P values s by Q finite duals (n, h).
+
+    s may be real or complex; n has shape (Q,) and h shape (Q, rank), and
+    both default to the whole finite dual Z(2) x H, n-major in index order.
+    Terms are grouped by real atom u, so the (P, Q) result is E @ T with
+    E[p, u] = exp(-sigma_u s_p**2 + i shift_u s_p) and T[u, q] the atom's
+    finite weights paired with (n_q, h_q) by the pairing kernel, which runs
+    once per distinct finite slot (m, g).
+    """
+    G = mu.group.G
+    if n is None:
+        n = np.repeat([0, 1], G.order)
+        h = np.tile(G.all_coords(), (2, 1))
+    s = np.atleast_1d(s)
+    atoms: dict[tuple[float, float], int] = {}
+    slots: dict[tuple[int, tuple[int, ...]], int] = {}
+    rows = [atoms.setdefault((t.atom.sigma, t.atom.shift), len(atoms)) for t in mu.terms]
+    cols = [slots.setdefault((t.m, t.g.coords), len(slots)) for t in mu.terms]
+    weights = np.zeros((len(atoms), len(slots)))
+    weights[rows, cols] = [t.c for t in mu.terms]  # canonical terms: no repeats
+    finite = pairing(G, [g for _, g in slots], h, [m for m, _ in slots], np.atleast_1d(n))
+    table = weights @ finite
+    sigmas = np.array([key[0] for key in atoms])
+    shifts = np.array([key[1] for key in atoms])
+    E = np.exp(-np.multiply.outer(s * s, sigmas) + 1j * np.multiply.outer(s, shifts))
+    return E @ table
+
+
 def char_fn(mu: AtomicSignedMeasure, y: YPoint) -> complex:
     """Characteristic function of mu at the dual point y."""
     if y.group != mu.group:
         raise ValueError("dual point belongs to a different group")
-    total = 0.0 + 0.0j
-    for t in mu.terms:
-        sign = -1.0 if (t.m * y.n) % 2 else 1.0
-        total += t.c * t.atom.char(y.s) * sign * eval_character(y.h, t.g)
-    return total
+    return complex(char_values(mu, y.s, [y.n], [y.h.coords])[0, 0])
 
 
 def density_profile(
@@ -513,24 +556,24 @@ def support_in_annihilator(
     passes, the implied support containment is asserted directly on the
     atoms as a consistency guard.
     """
-    sample_pts = _subgroup_sample(generators, multiples)
-    ok = all(abs(char_fn(mu, y) - 1.0) <= tol for y in sample_pts)
-    if ok:
-        for t in mu.terms:
-            for y in sample_pts:
-                if t.atom.sigma > 0.0:
-                    if abs(y.s) > tol:
-                        raise AssertionError(
-                            "char = 1 on the subgroup but a Gaussian atom meets a"
-                            " generator with a nonzero real coordinate"
-                        )
-                    x = XPoint(mu.group, 0.0, t.m, t.g)
-                else:
-                    x = XPoint(mu.group, t.atom.shift, t.m, t.g)
-                if abs(pair(x, y) - 1.0) > math.sqrt(tol):
-                    raise AssertionError(
-                        "char = 1 on the subgroup but an atom pairs nontrivially"
-                    )
+    points = _subgroup_sample(generators, multiples)
+    s = np.array([y.s for y in points])
+    n = [y.n for y in points]
+    h = [y.h.coords for y in points]
+    ok = bool(np.all(np.abs(np.diagonal(char_values(mu, s, n, h)) - 1.0) <= tol))
+    if ok and mu.terms:
+        if mu.has_continuous_part and np.any(np.abs(s) > tol):
+            raise AssertionError(
+                "char = 1 on the subgroup but a Gaussian atom meets a"
+                " generator with a nonzero real coordinate"
+            )
+        # Gaussian atoms sit at t = 0 here: only their finite slots pair
+        t = [0.0 if a.atom.sigma > 0.0 else a.atom.shift for a in mu.terms]
+        vals = pairing(
+            mu.group.G, [a.g.coords for a in mu.terms], h, [a.m for a in mu.terms], n, t, s
+        )
+        if np.any(np.abs(vals - 1.0) > math.sqrt(tol)):
+            raise AssertionError("char = 1 on the subgroup but an atom pairs nontrivially")
     return ok
 
 
@@ -550,18 +593,9 @@ def max_modulus_check(
     hh = h if not isinstance(h, (list, tuple)) else mu.group.G.character(h)
     theta = np.linspace(0.0, 2.0 * np.pi, boundary_samples, endpoint=False)
     s_vals = r * np.exp(1j * theta)
-
-    def char_on_circle(n_val: int, h_val) -> np.ndarray:
-        acc = np.zeros(len(s_vals), dtype=complex)
-        for t in mu.terms:
-            sign = -1.0 if (t.m * n_val) % 2 else 1.0
-            fin = sign * eval_character(h_val, t.g)
-            acc += t.c * fin * np.exp(-t.atom.sigma * s_vals * s_vals + 1j * t.atom.shift * s_vals)
-        return np.abs(acc)
-
-    lhs = char_on_circle(int(n) % 2, hh)
-    rhs = char_on_circle(0, mu.group.G.trivial_character())
-    return float(lhs.max()) <= float(rhs.max()) + tol
+    zero = mu.group.G.zero().coords
+    vals = np.abs(char_values(mu, s_vals, [int(n) % 2, 0], [hh.coords, zero]))
+    return float(vals[:, 0].max()) <= float(vals[:, 1].max()) + tol
 
 
 def measures_close(

@@ -18,15 +18,17 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .ambient import AmbientGroup, XAutomorphism, XPoint, YPoint
-from .finite_abelian import GroupAutomorphism, GroupElement, kernel_of_I_plus
+from .ambient import AmbientGroup, XAutomorphism, XPoint
+from .finite_abelian import GroupAutomorphism, GroupElement, kernel_of_I_plus, pairing
 from .measures import (
     AtomicSignedMeasure,
-    char_fn,
+    char_values,
     is_distribution,
+    order_two_measure,
     two_term_bound,
 )
 from .symmetry import (
+    VANISH_TOL,
     char_sup_distance,
     delta_relation,
     equation_residual_report,
@@ -35,8 +37,9 @@ from .symmetry import (
 from .theta import (
     PiMeasure,
     ThetaParams,
+    ThetaShapeError,
     is_in_theta,
-    lambda_signed,
+    measure_to_theta,
     rho_extremal,
     theta_to_measure,
 )
@@ -66,7 +69,10 @@ BRANCH_MINUS_ONE = "a_minus_one"
 OMEGA1_FROM_OMEGA2 = "omega1_eq_omega2_conv_vartheta"
 OMEGA2_FROM_OMEGA1 = "omega2_eq_omega1_conv_vartheta"
 
-_GROUP_WEIGHT_TOL = 1e-12
+# total mass must be 1 within MASS_TOL; in decompose, an exponential profile
+# of the R x Z(2) marginal with weight at most WEIGHT_TOL counts as absent
+MASS_TOL = 1e-9
+WEIGHT_TOL = 1e-12
 
 
 class InfeasibleSpec(ValueError):
@@ -129,14 +135,6 @@ def derive_partner_params(
         kappa1 = math.copysign(rho1 * abs(theta2.kappa) / rho2, theta2.kappa)
     return ThetaParams(
         -a * theta2.sigma, -a * theta2.sigma_p, -a * theta2.m, -a * theta2.m_p, kappa1
-    )
-
-
-def _vartheta_measure(group: AmbientGroup, d: float) -> AtomicSignedMeasure:
-    zero = group.G.zero()
-    return AtomicSignedMeasure.from_terms(
-        group,
-        [((1.0 + d) / 2.0, 0.0, 0.0, 0, zero), ((1.0 - d) / 2.0, 0.0, 0.0, 1, zero)],
     )
 
 
@@ -261,7 +259,7 @@ def generate_instance(spec: InstanceSpec) -> GeneratedInstance:
 
     alpha = XAutomorphism(group, spec.a, spec.alpha_G)
     x1 = -alpha(x2)
-    vt = _vartheta_measure(group, spec.vartheta_d)
+    vt = order_two_measure(group, spec.vartheta_d)
     omega1 = spec.omega2.convolve(vt)
     mu2 = theta_to_measure(t2, group).convolve(spec.omega2).shifted(x2)
     mu1 = theta_to_measure(theta1, group).convolve(omega1).shifted(x1)
@@ -335,51 +333,21 @@ def _coset_representative(
     return min((base + k for k in kernel), key=lambda g: g.coords)
 
 
-@dataclass(frozen=True)
-class _Extraction:
-    sigma: float
-    m_eff: float
-    sigma_p: float
-    m_p_eff: float
-    kappa_raw: float
+def _real_profile(mu: AtomicSignedMeasure, label: str) -> ThetaParams:
+    """The two exponential profiles of mu's R x Z(2) marginal, kappa raw.
 
-
-def _extract_exponentials(mu: AtomicSignedMeasure, label: str) -> _Extraction:
-    """Read the two exponential profiles off a reduced measure's atoms.
-
-    Grouping atoms by (sigma, center), the even-parity weights must form a
-    single unit-mass exponential and the odd-parity weights a single
-    nonzero one; those are the characteristic functions at the trivial
-    character for n = 0 and n = 1.
+    The profiles are the characteristic function at the trivial character
+    for n = 0 and n = 1; each must be a single exponential, the even one of
+    unit mass.
     """
-    even: dict[tuple[float, float], float] = {}
-    odd: dict[tuple[float, float], float] = {}
-    for t in mu.terms:
-        key = (t.atom.sigma, t.atom.shift)
-        even[key] = even.get(key, 0.0) + t.c
-        odd[key] = odd.get(key, 0.0) + (t.c if t.m % 2 == 0 else -t.c)
-    even_live = {k: w for k, w in even.items() if abs(w) > _GROUP_WEIGHT_TOL}
-    odd_live = {k: w for k, w in odd.items() if abs(w) > _GROUP_WEIGHT_TOL}
-    if len(even_live) != 1:
-        raise DecompositionError(
-            f"{label}: even-parity profile is not a single exponential "
-            f"({len(even_live)} found)"
-        )
-    (sigma, m_eff), w0 = next(iter(even_live.items()))
-    if abs(w0 - 1.0) > 1e-9:
-        raise DecompositionError(f"{label}: total mass {w0} is not 1")
-    if not odd_live:
-        raise DecompositionError(
-            f"{label}: characteristic function vanishes identically on the "
-            "odd dual slice, violating the nonvanishing hypothesis"
-        )
-    if len(odd_live) != 1:
-        raise DecompositionError(
-            f"{label}: odd-parity profile is not a single exponential "
-            f"({len(odd_live)} found)"
-        )
-    (sigma_p, m_p_eff), kappa_raw = next(iter(odd_live.items()))
-    return _Extraction(sigma, m_eff, sigma_p, m_p_eff, kappa_raw)
+    zero = mu.group.G.zero()
+    marginal = AtomicSignedMeasure.from_terms(
+        mu.group, [(t.c, t.atom.sigma, t.atom.shift, t.m, zero) for t in mu.terms]
+    )
+    try:
+        return measure_to_theta(marginal, tol=WEIGHT_TOL)
+    except ThetaShapeError as exc:
+        raise DecompositionError(f"{label}: {exc}") from exc
 
 
 def _finite_marginal(mu: AtomicSignedMeasure) -> AtomicSignedMeasure:
@@ -400,45 +368,35 @@ def _kernel_alignment(
     The coset representatives are chosen per measure, so the two omegas can
     disagree by a K-translation; the even dual slice determines it.
     """
-    group = omega1.group
-    targets = []
-    hs = list(group.G.characters())
-    for h in hs:
-        c1 = char_fn(omega1, YPoint(group, 0.0, 0, h))
-        c2 = char_fn(omega2, YPoint(group, 0.0, 0, h))
-        if abs(c1) < 1e-10 or abs(c2) < 1e-10:
-            raise DecompositionError(
-                "vanishing characteristic function on the even dual slice; "
-                "cannot align the K-supported factors"
-            )
-        targets.append(c2 / c1)
-    best, best_err = None, math.inf
-    for k in kernel:
-        err = max(abs(h(k) - t) for h, t in zip(hs, targets))
-        if err < best_err:
-            best, best_err = k, err
-    if best is None or best_err > math.sqrt(tol):
+    G = omega1.group.G
+    coords = G.all_coords()
+    even = np.zeros(G.order, dtype=np.int64)
+    c1 = char_values(omega1, 0.0, even, coords)[0]
+    c2 = char_values(omega2, 0.0, even, coords)[0]
+    if min(np.abs(c1).min(), np.abs(c2).min()) < VANISH_TOL:
+        raise DecompositionError(
+            "vanishing characteristic function on the even dual slice; "
+            "cannot align the K-supported factors"
+        )
+    # mismatch of each k in K: max over h of |(k, h) - c2(h)/c1(h)|
+    err = np.abs(pairing(G, [k.coords for k in kernel], coords) - c2 / c1).max(axis=1)
+    best = int(np.argmin(err))
+    if err[best] > math.sqrt(tol):
         raise DecompositionError(
             "no K-translation aligns the two omega factors "
-            f"(best mismatch {best_err:.3e})"
+            f"(best mismatch {err[best]:.3e})"
         )
-    return best
+    return kernel[best]
 
 
 def _fit_t_shift(
     omega1: AtomicSignedMeasure, omega2: AtomicSignedMeasure, tol: float
 ) -> float:
     """Least-squares real-shift aligning the even-slice phases, or 0."""
-    group = omega1.group
     scale = ratio_probe_scale(omega1, omega2)
     s_vals = np.asarray([s for s in np.linspace(-scale, scale, 9) if s != 0.0])
-    r = np.array(
-        [
-            char_fn(omega2, YPoint(group, float(s), 0, group.G.trivial_character()))
-            / char_fn(omega1, YPoint(group, float(s), 0, group.G.trivial_character()))
-            for s in s_vals
-        ]
-    )
+    trivial = ([0], [omega1.group.G.zero().coords])
+    r = (char_values(omega2, s_vals, *trivial) / char_values(omega1, s_vals, *trivial))[:, 0]
     if np.abs(np.abs(r) - 1.0).max() > math.sqrt(tol):
         return 0.0  # moduli differ; a shift cannot reconcile them
     order = np.argsort(s_vals)
@@ -487,7 +445,7 @@ def decompose(
     if mu2.group != group or alpha.group != group:
         raise DecompositionError("measures and automorphism must share one group")
     for label, mu in (("mu1", mu1), ("mu2", mu2)):
-        if abs(mu.total_mass() - 1.0) > 1e-9:
+        if abs(mu.total_mass() - 1.0) > MASS_TOL:
             raise DecompositionError(f"{label} total mass is not 1")
         if is_distribution(mu).is_no:
             raise DecompositionError(f"{label} is not a distribution")
@@ -554,30 +512,27 @@ def decompose(
             alternatives,
         )
 
-    exts = [
-        _extract_exponentials(m, label)
-        for m, label in zip(reduced, ("mu1", "mu2"))
-    ]
+    raws = [_real_profile(m, label) for m, label in zip(reduced, ("mu1", "mu2"))]
     gammas: list[ThetaParams] = []
     omegas: list[AtomicSignedMeasure] = []
     rhos: list[float] = []
-    for ext, label, mu_red in zip(exts, ("mu1", "mu2"), reduced):
-        degenerate = (ext.sigma_p, ext.m_p_eff) == (ext.sigma, ext.m_eff)
+    for raw, label, mu_red in zip(raws, ("mu1", "mu2"), reduced):
+        degenerate = (raw.sigma_p, raw.m_p) == (raw.sigma, raw.m)
         if degenerate:
             rho = 1.0
         else:
-            if not (0.0 < ext.sigma_p < ext.sigma):
+            if not (0.0 < raw.sigma_p < raw.sigma):
                 raise DecompositionError(
-                    f"{label}: exponential profiles (sigma={ext.sigma}, "
-                    f"sigma'={ext.sigma_p}) violate the class ordering"
+                    f"{label}: exponential profiles (sigma={raw.sigma}, "
+                    f"sigma'={raw.sigma_p}) violate the class ordering"
                 )
-            rho = two_term_bound(ext.sigma, ext.m_eff, ext.sigma_p, ext.m_p_eff)
-        if abs(ext.kappa_raw) > rho * (1.0 + 1e-9):
+            rho = two_term_bound(raw.sigma, raw.m, raw.sigma_p, raw.m_p)
+        if abs(raw.kappa) > rho * (1.0 + 1e-9):
             raise DecompositionError(
-                f"{label}: odd-slice coefficient {ext.kappa_raw:.6g} exceeds the "
+                f"{label}: odd-slice coefficient {raw.kappa:.6g} exceeds the "
                 f"extremal bound {rho:.6g}; no distribution factorization exists"
             )
-        sign = 1.0 if ext.kappa_raw >= 0.0 else -1.0
+        sign = 1.0 if raw.kappa >= 0.0 else -1.0
         # extremal normalization: the gamma factor takes kappa = rho * sign
         # and the leftover scalar sign/rho moves into omega as an order-2
         # signed factor, keeping the product exactly equal to mu
@@ -590,9 +545,7 @@ def decompose(
                 f"{label}: renormalized omega factor is not a distribution "
                 f"(min {verdict.min_value:.3e})"
             )
-        gammas.append(
-            ThetaParams(ext.sigma, ext.sigma_p, ext.m_eff, ext.m_p_eff, rho * sign)
-        )
+        gammas.append(ThetaParams(raw.sigma, raw.sigma_p, raw.m, raw.m_p, rho * sign))
         omegas.append(omega)
         rhos.append(rho)
 
@@ -628,7 +581,7 @@ def decompose(
         d,
         vt,
         kernel,
-        (exts[0].kappa_raw, exts[1].kappa_raw),
+        (raws[0].kappa, raws[1].kappa),
         (rhos[0], rhos[1]),
         report.residual,
         rec_err,
@@ -670,7 +623,7 @@ def lambda_tau_criterion(
         if a_w < 0.0 or b_w < 0.0:
             raise ValueError(f"negative coefficient at g={g}")
         total += a_w + b_w
-    if abs(total - 1.0) > 1e-9:
+    if abs(total - 1.0) > MASS_TOL:
         raise ValueError(f"coefficients sum to {total}, expected 1")
     bound = two_term_bound(sigma, m, sigma_p, m_p)
     for a_w, b_w in coeffs.values():
@@ -679,6 +632,11 @@ def lambda_tau_criterion(
         if abs(a_w - b_w) > bound * (a_w + b_w):
             return False
     return True
+
+
+def _min_char_modulus(omega: AtomicSignedMeasure) -> float:
+    """Minimum of |char(omega)| at s = 0 over the finite dual Z(2) x H."""
+    return float(np.abs(char_values(omega, 0.0)).min())
 
 
 def factor_exchange(
@@ -696,13 +654,8 @@ def factor_exchange(
     if not (0.0 < gamma.sigma_p < gamma.sigma):
         raise ValueError("gamma must have 0 < sigma' < sigma")
     group = omega.group
-    if check_nonvanishing:
-        for n in (0, 1):
-            for h in group.G.characters():
-                if abs(char_fn(omega, YPoint(group, 0.0, n, h))) < 1e-10:
-                    raise ValueError(
-                        "omega characteristic function vanishes at a dual point"
-                    )
+    if check_nonvanishing and _min_char_modulus(omega) < VANISH_TOL:
+        raise ValueError("omega characteristic function vanishes at a dual point")
     gamma_new = ThetaParams(
         gamma.sigma, gamma.sigma_p, gamma.m, gamma.m_p, gamma.kappa * pi.c
     )
@@ -757,29 +710,17 @@ def rigidity_decision(
         raise ValueError("kappa must be nonzero")
     if is_distribution(omega).is_no:
         raise ValueError("omega must be a distribution")
-    if abs(omega.total_mass() - 1.0) > 1e-9:
+    if abs(omega.total_mass() - 1.0) > MASS_TOL:
         raise ValueError("omega total mass is not 1")
     pairs = _parity_pairs(omega)
     rho = rho_extremal(gamma)
     kappa = gamma.kappa
     flags: list[str] = []
-    group = omega.group
-    for n in (0, 1):
-        for h in group.G.characters():
-            if abs(char_fn(omega, YPoint(group, 0.0, n, h))) < 1e-10:
-                flags.append("vanishing_characteristic_function")
-                break
-        else:
-            continue
-        break
+    if _min_char_modulus(omega) < VANISH_TOL:
+        flags.append("vanishing_characteristic_function")
 
     extremal = abs(abs(kappa) - rho) <= rel_tol * rho
-    zero_pattern = False
-    for a_w, b_w in pairs.values():
-        lo, hi = min(a_w, b_w), max(a_w, b_w)
-        if lo <= 1e-15 and hi > 1e-12:
-            zero_pattern = True
-            break
+    zero_pattern = any(min(p) <= 1e-15 and max(p) > 1e-12 for p in pairs.values())
     if extremal and zero_pattern:
         return RigidityResult(True, None, rho, kappa, tuple(flags))
 
@@ -792,10 +733,10 @@ def rigidity_decision(
     else:
         # extremal but every pair has both weights positive: a factor with
         # c strictly between the worst imbalance and 1 keeps both parts valid
-        q = 0.0
-        for a_w, b_w in pairs.values():
-            if a_w + b_w > 0.0:
-                q = max(q, abs(a_w - b_w) / (a_w + b_w))
+        q = max(
+            (abs(a_w - b_w) / (a_w + b_w) for a_w, b_w in pairs.values() if a_w + b_w > 0.0),
+            default=0.0,
+        )
         witness = PiMeasure((1.0 + q) / 2.0)
     gamma_new, omega_new = factor_exchange(gamma, omega, witness, check_nonvanishing=False)
     if not is_in_theta(gamma_new) or is_distribution(omega_new).is_no:

@@ -23,8 +23,8 @@ from typing import Sequence
 import numpy as np
 
 from .ambient import AmbientGroup, XAutomorphism, YPoint
-from .finite_abelian import GroupAutomorphism, char_table
-from .measures import AtomicSignedMeasure, char_fn, sample_arrays
+from .finite_abelian import FiniteAbelianGroup, GroupAutomorphism, pairing_phase
+from .measures import AtomicSignedMeasure, char_values, order_two_measure, sample_arrays
 
 __all__ = [
     "SGrid",
@@ -43,11 +43,13 @@ __all__ = [
 VANISH_TOL = 1e-10
 
 
+def _gaussian_sigmas(*measures: AtomicSignedMeasure) -> list[float]:
+    return [t.atom.sigma for mu in measures for t in mu.terms if t.atom.sigma > 0.0]
+
+
 def default_s_scale(*measures: AtomicSignedMeasure) -> float:
     """Half-width 5/sqrt(min positive sigma), or 10 when no Gaussian part."""
-    sigmas = [
-        t.atom.sigma for mu in measures for t in mu.terms if t.atom.sigma > 0.0
-    ]
+    sigmas = _gaussian_sigmas(*measures)
     if not sigmas:
         return 10.0
     return 5.0 / math.sqrt(min(sigmas))
@@ -60,9 +62,7 @@ def ratio_probe_scale(*measures: AtomicSignedMeasure) -> float:
     ratios stay far from the underflow regime while still discriminating
     mismatched variances and shifts.
     """
-    sigmas = [
-        t.atom.sigma for mu in measures for t in mu.terms if t.atom.sigma > 0.0
-    ]
+    sigmas = _gaussian_sigmas(*measures)
     if not sigmas:
         return 10.0
     return 3.0 / math.sqrt(max(sigmas))
@@ -84,68 +84,51 @@ class SGrid:
         return np.linspace(-smax, smax, self.points)
 
 
-class _DualIndex:
-    """Index tables for the finite dual Z(2) x H."""
+def _identity_deviation(
+    mu1: AtomicSignedMeasure,
+    mu2: AtomicSignedMeasure,
+    a: float,
+    alpha_G: GroupAutomorphism,
+    s: np.ndarray,
+) -> tuple[float, float]:
+    """Max of |f1(u+v) f2(u+Bv) - f1(u-v) f2(u-Bv)| and min of the |f| values.
 
-    def __init__(self, group: AmbientGroup):
-        G = group.G
-        self.group = group
-        self.size = G.order
-        self.coords = G.all_coords()
-        self.orders = np.array(G.cyclic_orders, dtype=np.int64)
-        self.radix = np.ones(G.rank, dtype=np.int64)
-        for k in range(G.rank - 2, -1, -1):
-            self.radix[k] = self.radix[k + 1] * G.cyclic_orders[k + 1]
-        # trivial rank-0 guard is unnecessary: AmbientGroup always has rank >= 1
-        self.table = char_table(G)  # table[g_idx, h_idx]
-        sums = (self.coords[:, None, :] + self.coords[None, :, :]) % self.orders
-        self.add = np.tensordot(sums, self.radix, axes=([2], [0]))
-        self.neg = np.tensordot((-self.coords) % self.orders, self.radix, axes=([1], [0]))
-
-    def encode(self, coords) -> int:
-        return int(np.dot(np.asarray(coords, dtype=np.int64) % self.orders, self.radix))
-
-    def automorphism_map(self, alpha: GroupAutomorphism) -> np.ndarray:
-        return alpha.index_map()
-
-
-class _CharEvaluator:
-    """Batched characteristic-function evaluation via the factorization
-
-    char(s, n, h) = sum over distinct real atoms u of
-        exp(-sigma_u s**2 + i shift_u s) * T_u[n, h]
-
-    where T_u collects the finite-coordinate weights of the atom.
+    Real dual coordinates of u and v run over s; the finite dual coordinates
+    are exhausted, in blocks of first coordinates h1 to bound memory.  The
+    two sides depend on the Z(2) duals only through their sum, so that sum
+    is what is enumerated.  A non-finite deviation raises ValueError.
     """
+    G = mu1.group.G
+    H = G.order
+    coords = G.all_coords()
+    adj_coords = coords @ np.array(alpha_G.adjoint().matrix, dtype=np.int64).T
+    s1, s2 = np.meshgrid(s, s, indexing="ij")
+    s1 = s1.ravel()
+    s2 = s2.ravel()
+    s_up, s_um = s1 + s2, s1 - s2
+    s_ap, s_am = s1 + a * s2, s1 - a * s2
 
-    def __init__(self, mu: AtomicSignedMeasure, dual: _DualIndex):
-        self.dual = dual
-        groups: dict[tuple[float, float], np.ndarray] = {}
-        for t in mu.terms:
-            key = (t.atom.sigma, t.atom.shift)
-            w = groups.setdefault(key, np.zeros((2, dual.size)))
-            g_idx = dual.encode(t.g.coords)
-            w[t.m if t.m in (0, 1) else t.m % 2, g_idx] += t.c
-        self.sigmas = np.array([k[0] for k in groups])
-        self.shifts = np.array([k[1] for k in groups])
-        tables = []
-        for w in groups.values():
-            # T[n] = sum_m (-1)**(m*n) * (w[m] @ char_table)
-            row0 = w[0] @ dual.table
-            row1 = w[1] @ dual.table
-            tables.append(np.stack([row0 + row1, row0 - row1]))
-        self.tables = np.array(tables)  # (U, 2, |H|)
+    residual = 0.0
+    worst_vanish = math.inf
+    h_block = max(1, 4096 // max(H, 1))
+    for start in range(0, H, h_block):
+        h1 = coords[start : start + h_block, None, :]
+        n_sum = np.repeat([0, 1], len(h1) * H)
 
-    def on(self, s: np.ndarray, n_idx: np.ndarray, h_idx: np.ndarray) -> np.ndarray:
-        """char at the outer product of s values and finite probes.
+        def duals(h2: np.ndarray) -> np.ndarray:
+            return np.tile((h1 + h2).reshape(-1, G.rank), (2, 1))
 
-        s has shape (P,), n_idx/h_idx shape (Q,); the result is (P, Q).
-        """
-        E = np.exp(
-            -self.sigmas[None, :] * (s * s)[:, None] + 1j * self.shifts[None, :] * s[:, None]
-        )  # (P, U)
-        T = self.tables[:, n_idx, h_idx]  # (U, Q)
-        return E @ T
+        A1p = char_values(mu1, s_up, n_sum, duals(coords))
+        A2p = char_values(mu2, s_ap, n_sum, duals(adj_coords))
+        A1m = char_values(mu1, s_um, n_sum, duals(-coords))
+        A2m = char_values(mu2, s_am, n_sum, duals(-adj_coords))
+        block = float(np.abs(A1p * A2p - A1m * A2m).max())
+        if not math.isfinite(block):
+            raise ValueError(f"equation residual is not finite ({block})")
+        residual = max(residual, block)
+        for arr in (A1p, A2p, A1m, A2m):
+            worst_vanish = min(worst_vanish, float(np.abs(arr).min()))
+    return residual, worst_vanish
 
 
 @dataclass(frozen=True)
@@ -165,51 +148,16 @@ def equation_residual_report(
     """Max deviation of the symmetry identity over the probe grid.
 
     Real dual coordinates of u and v run over the grid; the finite dual
-    coordinates are exhausted.  The two sides depend on the Z(2) duals only
-    through their sum, so that sum is what is enumerated.
+    coordinates are exhausted.  A non-finite residual raises ValueError, so
+    it never reads as a pass.
     """
     if mu1.group != mu2.group or alpha.group != mu1.group:
         raise ValueError("measures and automorphism must share one group")
     grid = grid or SGrid()
     s = grid.values(mu1, mu2)
-    smax = float(abs(s).max())
-    dual = _DualIndex(mu1.group)
-    adj_map = dual.automorphism_map(alpha.alpha_G.adjoint())
-    ev1 = _CharEvaluator(mu1, dual)
-    ev2 = _CharEvaluator(mu2, dual)
-
-    s1, s2 = np.meshgrid(s, s, indexing="ij")
-    s1 = s1.ravel()
-    s2 = s2.ravel()
-    a = alpha.a
-    s_up, s_um = s1 + s2, s1 - s2
-    s_ap, s_am = s1 + a * s2, s1 - a * s2
-
-    H = dual.size
-    residual = 0.0
-    worst_vanish = math.inf
-    h_block = max(1, 4096 // max(H, 1))
-    for start in range(0, H, h_block):
-        h1 = np.arange(start, min(start + h_block, H))
-        h1g, h2g = np.meshgrid(h1, np.arange(H), indexing="ij")
-        h1f, h2f = h1g.ravel(), h2g.ravel()
-        n_sum = np.repeat(np.array([0, 1]), h1f.size)
-        h_plus = np.tile(dual.add[h1f, h2f], 2)
-        h_minus = np.tile(dual.add[h1f, dual.neg[h2f]], 2)
-        h_aplus = np.tile(dual.add[h1f, adj_map[h2f]], 2)
-        h_aminus = np.tile(dual.add[h1f, dual.neg[adj_map[h2f]]], 2)
-
-        A1p = ev1.on(s_up, n_sum, h_plus)
-        A2p = ev2.on(s_ap, n_sum, h_aplus)
-        A1m = ev1.on(s_um, n_sum, h_minus)
-        A2m = ev2.on(s_am, n_sum, h_aminus)
-        diff = np.abs(A1p * A2p - A1m * A2m)
-        residual = max(residual, float(diff.max()))
-        for arr in (A1p, A2p, A1m, A2m):
-            worst_vanish = min(worst_vanish, float(np.abs(arr).min()))
-
+    residual, worst_vanish = _identity_deviation(mu1, mu2, alpha.a, alpha.alpha_G, s)
     flags = ("vanishing_char",) if worst_vanish < VANISH_TOL else ()
-    return ResidualReport(residual, smax, grid.points, flags)
+    return ResidualReport(residual, float(abs(s).max()), grid.points, flags)
 
 
 def equation_residual(
@@ -234,12 +182,7 @@ def char_sup_distance(
         return 0.0
     if s_values is None:
         s_values = SGrid().values(mu, nu)
-    s = np.asarray(s_values, dtype=float)
-    dual = _DualIndex(mu.group)
-    ev = _CharEvaluator(diff, dual)
-    h = np.tile(np.arange(dual.size), 2)
-    n = np.repeat(np.array([0, 1]), dual.size)
-    return float(np.abs(ev.on(s, n, h)).max())
+    return float(np.abs(char_values(diff, np.asarray(s_values, dtype=float))).max())
 
 
 @dataclass(frozen=True)
@@ -255,7 +198,7 @@ def _default_probe_pairs(
     group: AmbientGroup, *measures: AtomicSignedMeasure
 ) -> list[tuple[YPoint, YPoint]]:
     """A small deterministic set of (u, v) dual probe pairs."""
-    sigmas = [t.atom.sigma for mu in measures for t in mu.terms if t.atom.sigma > 0.0]
+    sigmas = _gaussian_sigmas(*measures)
     s0 = 0.5 / math.sqrt(max(sigmas)) if sigmas else 0.7
     G = group.G
     # one generator per cyclic factor, else atoms varying only along a
@@ -265,31 +208,33 @@ def _default_probe_pairs(
         gen = G.character([1 if j == k else 0 for j in range(G.rank)])
         if not gen.is_trivial:
             hs.append(gen)
-    singles = []
-    for s in (0.0, s0):
-        for n in (0, 1):
-            for h in hs:
-                singles.append(YPoint(group, s, n, h))
-    return [(u, v) for u in singles for v in singles if not (u.s == 0.0 and u.n == 0 and u.h.is_trivial and v.s == 0.0 and v.n == 0 and v.h.is_trivial)]
+    singles = [YPoint(group, s, n, h) for s in (0.0, s0) for n in (0, 1) for h in hs]
+    # singles[0] is the zero dual point; the pair of two zeros tests nothing
+    return [(u, v) for u in singles for v in singles][1:]
 
 
-def _pair_values(
-    group: AmbientGroup,
-    t: np.ndarray,
-    m: np.ndarray,
-    g: np.ndarray,
-    y: YPoint,
-) -> np.ndarray:
-    G = group.G
-    lcm = G.exponent_lcm
-    weights = np.array(
-        [h * (lcm // n) for h, n in zip(y.h.coords, G.cyclic_orders)], dtype=np.int64
-    )
-    phase = (g @ weights) % lcm
-    vals = np.exp(1j * (y.s * t + 2.0 * np.pi * phase / lcm))
-    if y.n % 2:
-        vals = vals * np.where(m % 2 == 1, -1.0, 1.0)
-    return vals
+def _probe_rows(
+    G: FiniteAbelianGroup, points: tuple, probes: Sequence[YPoint], want_cos: bool
+) -> tuple[list[int], np.ndarray | None, np.ndarray]:
+    """cos and sin of pair(point, y) over the samples, one row per distinct y.
+
+    Returns the row of each probe, the cos rows (None unless wanted) and
+    the sin rows; rows are filled one at a time, so no complex matrix over
+    all probes is ever held.
+    """
+    t, m, g = points
+    rows: dict[tuple, int] = {}
+    index = [rows.setdefault((y.s, y.n, y.h.coords), len(rows)) for y in probes]
+    cos = np.empty((len(rows), len(t))) if want_cos else None
+    sin = np.empty((len(rows), len(t)))
+    for (s, n, h), j in rows.items():
+        angle, odd = pairing_phase(G, g, [h], m, [n], t, [s])
+        np.sin(angle[:, 0], out=sin[j])
+        np.negative(sin[j], out=sin[j], where=odd[:, 0])
+        if want_cos:
+            np.cos(angle[:, 0], out=cos[j])
+            np.negative(cos[j], out=cos[j], where=odd[:, 0])
+    return index, cos, sin
 
 
 def mc_symmetry_test(
@@ -306,9 +251,11 @@ def mc_symmetry_test(
 
         | mean pair(L1,u)*pair(L2,v) - mean pair(L1,u)*pair(-L2,v) |
 
-    and the acceptance threshold is 4/sqrt(n_samples): the probes are
+    which equals 2 |mean pair(L1,u) * Im pair(L2,v)|, and the acceptance
+    threshold is 4/sqrt(n_samples): the probes are
     bounded test functions, so a true symmetry keeps every difference
-    within a few multiples of the Monte Carlo scale 1/sqrt(n).
+    within a few multiples of the Monte Carlo scale 1/sqrt(n).  A
+    non-finite statistic raises ValueError.
     """
     group = mu1.group
     if probes is None:
@@ -326,25 +273,16 @@ def mc_symmetry_test(
     L1 = (t1 + t2, (m1 + m2) % 2, (g1 + g2) % orders[None, :])
     L2 = (t1 + alpha.a * t2, (m1 + m2) % 2, (g1 + g2a) % orders[None, :])
 
-    # probe pairs share their u and v singles; evaluate each exp once
-    cache1: dict[tuple[float, int, tuple[int, ...]], np.ndarray] = {}
-    cache2: dict[tuple[float, int, tuple[int, ...]], np.ndarray] = {}
-
-    def values(cache, coords, y):
-        key = (y.s, y.n, y.h.coords)
-        if key not in cache:
-            cache[key] = _pair_values(group, *coords, y)
-        return cache[key]
-
-    stat = 0.0
-    for u, v in probes:
-        w1 = values(cache1, L1, u)
-        w2 = values(cache2, L2, v)
-        direct = (w1 * w2).mean()
-        reflected = (w1 * np.conj(w2)).mean()
-        stat = max(stat, abs(direct - reflected))
+    # direct - reflected = mean(w1 * 2i Im w2) with w1 = C1 + i S1, so the
+    # statistic needs cos and sin rows for u and only sin rows for v
+    rows1, C1, S1 = _probe_rows(group.G, L1, [u for u, _ in probes], True)
+    rows2, _, S2 = _probe_rows(group.G, L2, [v for _, v in probes], False)
+    sums = np.abs(C1 @ S2.T + 1j * (S1 @ S2.T))
+    stat = 2.0 / n_samples * float(sums[rows1, rows2].max(initial=0.0))
+    if not math.isfinite(stat):
+        raise ValueError(f"Monte Carlo statistic is not finite ({stat})")
     threshold = 4.0 / math.sqrt(n_samples)
-    return McReport(float(stat), threshold, bool(stat <= threshold), n_samples, len(probes))
+    return McReport(stat, threshold, bool(stat <= threshold), n_samples, len(probes))
 
 
 def finite_exact_check(
@@ -363,24 +301,8 @@ def finite_exact_check(
     for name, w in (("first", w1), ("second", w2)):
         if not w.is_finite_supported:
             raise ValueError(f"{name} measure is not supported on the finite part")
-    dual = _DualIndex(w1.group)
-    adj_map = dual.automorphism_map(alpha_G.adjoint())
-    ev1 = _CharEvaluator(w1, dual)
-    ev2 = _CharEvaluator(w2, dual)
-    H = dual.size
     # finite-part chars carry no s dependence; evaluate at s = 0 only
-    zero = np.zeros(1)
-    h1, h2 = np.meshgrid(np.arange(H), np.arange(H), indexing="ij")
-    h1, h2 = h1.ravel(), h2.ravel()
-    n_sum = np.repeat(np.array([0, 1]), h1.size)
-    h1t, h2t = np.tile(h1, 2), np.tile(h2, 2)
-    lhs = ev1.on(zero, n_sum, dual.add[h1t, h2t]) * ev2.on(
-        zero, n_sum, dual.add[h1t, adj_map[h2t]]
-    )
-    rhs = ev1.on(zero, n_sum, dual.add[h1t, dual.neg[h2t]]) * ev2.on(
-        zero, n_sum, dual.add[h1t, dual.neg[adj_map[h2t]]]
-    )
-    return float(np.abs(lhs - rhs).max())
+    return _identity_deviation(w1, w2, 1.0, alpha_G, np.zeros(1))[0]
 
 
 @dataclass(frozen=True)
@@ -395,13 +317,6 @@ class DeltaRelation:
     @property
     def holds(self) -> bool:
         return self.branch != "neither"
-
-
-def _delta_measure(group: AmbientGroup, d: float) -> AtomicSignedMeasure:
-    zero = group.G.zero()
-    return AtomicSignedMeasure.from_terms(
-        group, [((1.0 + d) / 2.0, 0.0, 0.0, 0, zero), ((1.0 - d) / 2.0, 0.0, 0.0, 1, zero)]
-    )
 
 
 def delta_relation(
@@ -427,20 +342,16 @@ def delta_relation(
         else:
             scale = ratio_probe_scale(tau1, tau2)
             s_values = list(np.linspace(-scale, scale, 7))
-    probes: list[YPoint] = []
-    for s in s_values:
-        for n in (0, 1):
-            for h in group.G.characters():
-                probes.append(YPoint(group, float(s), n, h))
-    ratios = {0: [], 1: []}
-    for y in probes:
-        c2 = char_fn(tau2, y)
-        c1 = char_fn(tau1, y)
-        if abs(c2) < VANISH_TOL or abs(c1) < VANISH_TOL:
-            raise ValueError("vanishing characteristic function on a probe")
-        ratios[y.n].append(c1 / c2)
-    r0 = np.array(ratios[0])
-    r1 = np.array(ratios[1])
+    s = np.asarray(s_values, dtype=float)
+    c1 = char_values(tau1, s)
+    c2 = char_values(tau2, s)
+    if min(np.abs(c1).min(), np.abs(c2).min()) < VANISH_TOL:
+        raise ValueError("vanishing characteristic function on a probe")
+    # columns run over n = 0 then n = 1, each over the whole of H
+    ratios = c1 / c2
+    H = group.G.order
+    r0 = ratios[:, :H].ravel()
+    r1 = ratios[:, H:].ravel()
     if np.abs(r0 - 1.0).max() > tol:
         return DeltaRelation("neither")
     d_c = complex(r1.mean())
@@ -452,6 +363,6 @@ def delta_relation(
         flags = ("both_branches_fit",)
         d = math.copysign(1.0, d)
     if abs(d) <= 1.0:
-        return DeltaRelation("tau1_eq_tau2_conv_delta", d, _delta_measure(group, d), flags)
+        return DeltaRelation("tau1_eq_tau2_conv_delta", d, order_two_measure(group, d), flags)
     d_rec = 1.0 / d
-    return DeltaRelation("tau2_eq_tau1_conv_delta", d_rec, _delta_measure(group, d_rec), flags)
+    return DeltaRelation("tau2_eq_tau1_conv_delta", d_rec, order_two_measure(group, d_rec), flags)

@@ -24,10 +24,11 @@ distribution unless |c| = 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .ambient import AmbientGroup
-from .measures import AtomicSignedMeasure, two_term_bound
+from .measures import AtomicSignedMeasure, order_two_measure, two_term_bound
 
 __all__ = [
     "ThetaParams",
@@ -56,7 +57,10 @@ class ThetaParams:
 
     def __post_init__(self) -> None:
         for name in ("sigma", "sigma_p", "m", "m_p", "kappa"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+            value = float(getattr(self, name))
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+            object.__setattr__(self, name, value)
         if self.sigma < 0 or self.sigma_p < 0:
             raise ValueError("sigma and sigma_p must be >= 0")
 
@@ -194,11 +198,7 @@ class PiMeasure:
         return ((1.0 + self.c) / 2.0, (1.0 - self.c) / 2.0)
 
     def to_measure(self, group: AmbientGroup) -> AtomicSignedMeasure:
-        w0, w1 = self.weights()
-        zero = group.G.zero()
-        return AtomicSignedMeasure.from_terms(
-            group, [(w0, 0.0, 0.0, 0, zero), (w1, 0.0, 0.0, 1, zero)]
-        )
+        return order_two_measure(group, self.c)
 
     def to_json(self) -> dict:
         return {"c": self.c}

@@ -306,3 +306,35 @@ class TestFormatting:
 
         walk(report)
         assert '"tol": 0.10000000000000001' in text
+
+
+class TestNonFiniteInput:
+    """NaN and infinite numbers are invalid input (exit 2), never a pass."""
+
+    def check_case(self, term):
+        return {
+            "group": GROUP,
+            "alpha": ALPHA,
+            "mu1": {"terms": [term]},
+            "mu2": {"dirac": {"t": 0.0, "m": 0, "g": [0]}},
+        }
+
+    def test_check_nan_sigma_exits_two(self, tmp_path, capsys):
+        term = {"c": 1.0, "sigma": float("nan"), "shift": 0.0, "m": 0, "g": [0]}
+        code, out = run(capsys, ["check", write_case(tmp_path, self.check_case(term))])
+        assert code == EXIT_INVALID
+        assert out == ""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_check_overflowing_shift_exits_two(self, tmp_path, capsys):
+        # finite on input, but exp(i * shift * s) overflows to NaN on the grid
+        term = {"c": 1.0, "sigma": 0.0, "shift": 1e308, "m": 0, "g": [0]}
+        code, out = run(capsys, ["check", write_case(tmp_path, self.check_case(term))])
+        assert code == EXIT_INVALID
+        assert out == ""
+
+    def test_theta_infinite_sigma_exits_two(self, tmp_path, capsys):
+        params = {"sigma": float("inf"), "sigma_p": 0.5, "m": 0.0, "m_p": 0.0, "kappa": 0.3}
+        code, out = run(capsys, ["theta", write_case(tmp_path, params)])
+        assert code == EXIT_INVALID
+        assert out == ""
