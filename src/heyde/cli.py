@@ -189,7 +189,6 @@ def cmd_check(args) -> int:
         "tol": args.tol,
         "pass": passed,
         "grid": {"smax": report_in.smax, "points": report_in.points},
-        "flags": list(report_in.flags),
     }
     _emit(report, args.json)
     return EXIT_OK if passed else EXIT_VIOLATED

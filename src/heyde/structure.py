@@ -32,7 +32,6 @@ from .symmetry import (
     char_sup_distance,
     delta_relation,
     equation_residual_report,
-    ratio_probe_scale,
 )
 from .theta import (
     PiMeasure,
@@ -275,9 +274,11 @@ class Decomposition:
     branch a_not_minus_one: mu_j = gamma_j-measure * omega_j * E_shift_j
     with omega_j on Z(2) x K and |gamma_j.kappa| at the extremal bound.
     branch a_minus_one: mu_j = omega_j * E_shift_j with omega_j on
-    R x Z(2) x K and gamma absent.  In both, one of the omegas equals the
-    other convolved with a Z(2) distribution of odd-character value
-    vartheta_d (direction in vartheta_direction).
+    R x Z(2) x K, gamma, kappa_raw and rho absent, and the real part of
+    shift_1 the first-moment gap between the two reduced measures (0 on an
+    exact instance).  In both, one of the omegas equals the other convolved
+    with a Z(2) distribution of odd-character value vartheta_d (direction
+    in vartheta_direction).
     """
 
     branch: str
@@ -389,134 +390,21 @@ def _kernel_alignment(
     return kernel[best]
 
 
-def _fit_t_shift(
-    omega1: AtomicSignedMeasure, omega2: AtomicSignedMeasure, tol: float
-) -> float:
-    """Least-squares real-shift aligning the even-slice phases, or 0."""
-    scale = ratio_probe_scale(omega1, omega2)
-    s_vals = np.asarray([s for s in np.linspace(-scale, scale, 9) if s != 0.0])
-    trivial = ([0], [omega1.group.G.zero().coords])
-    r = (char_values(omega2, s_vals, *trivial) / char_values(omega1, s_vals, *trivial))[:, 0]
-    if np.abs(np.abs(r) - 1.0).max() > math.sqrt(tol):
-        return 0.0  # moduli differ; a shift cannot reconcile them
-    order = np.argsort(s_vals)
-    phase = np.unwrap(np.angle(r[order]))
-    s_sorted = s_vals[order]
-    dt = float(np.dot(s_sorted, phase) / np.dot(s_sorted, s_sorted))
-    return dt if abs(dt) > tol else 0.0
+def _factor(
+    reduced: Sequence[AtomicSignedMeasure], a: float, tol: float
+) -> tuple[tuple, tuple, tuple, tuple]:
+    """Split each reduced mu into an extremal gamma factor and omega on Z(2) x K.
 
-
-def _delta_between(
-    omega1: AtomicSignedMeasure, omega2: AtomicSignedMeasure, tol: float
-) -> tuple[str, float, AtomicSignedMeasure, tuple[tuple[str, float], ...], tuple[str, ...]]:
-    rel = delta_relation(omega1, omega2, tol=max(tol, 1e-11))
-    if not rel.holds:
-        raise DecompositionError(
-            "the two omega factors are not linked by an order-2 convolution"
-        )
-    if rel.branch == "tau1_eq_tau2_conv_delta":
-        direction = OMEGA1_FROM_OMEGA2
-        other = OMEGA2_FROM_OMEGA1
-    else:
-        direction = OMEGA2_FROM_OMEGA1
-        other = OMEGA1_FROM_OMEGA2
-    alternatives: tuple[tuple[str, float], ...] = ()
-    if "both_branches_fit" in rel.flags:
-        alternatives = ((other, rel.d),)
-    return direction, rel.d, rel.delta, alternatives, rel.flags
-
-
-def decompose(
-    mu1: AtomicSignedMeasure,
-    mu2: AtomicSignedMeasure,
-    alpha: XAutomorphism,
-    tol: float = 1e-9,
-) -> Decomposition:
-    """Recover the canonical factorization from a valid equation instance.
-
-    Gate: the grid residual of the symmetry equation must be at most tol.
-    The generic branch reads the exponential profiles, renormalizes the
-    two-Gaussian factor to its extremal coefficient (pushing the remainder
-    into omega through an order-2 signed factor), and reduces the finite
-    support to the canonical K-coset representative.  a = -1 skips the
-    gamma factor entirely and keeps the real part inside omega.
+    Returns the pairs of gammas, omegas, raw odd-slice coefficients and
+    extremal bounds; the gammas must satisfy the cross constraints for a.
     """
-    group = mu1.group
-    if mu2.group != group or alpha.group != group:
-        raise DecompositionError("measures and automorphism must share one group")
-    for label, mu in (("mu1", mu1), ("mu2", mu2)):
-        if abs(mu.total_mass() - 1.0) > MASS_TOL:
-            raise DecompositionError(f"{label} total mass is not 1")
-        if is_distribution(mu).is_no:
-            raise DecompositionError(f"{label} is not a distribution")
-    report = equation_residual_report(mu1, mu2, alpha)
-    if report.residual > tol:
-        raise DecompositionError(
-            f"equation residual {report.residual:.3e} exceeds tolerance {tol:.1e}; "
-            "the symmetry hypothesis fails"
-        )
-    flags = list(report.flags)
-    notes: list[str] = []
-    kernel = tuple(kernel_of_I_plus(alpha.alpha_G))
-
-    reps = []
-    reduced = []
-    for label, mu in (("mu1", mu1), ("mu2", mu2)):
-        rep = _coset_representative(mu, kernel, label)
-        reps.append(rep)
-        reduced.append(mu.shifted(XPoint(group, 0.0, 0, -rep)))
-
-    if abs(alpha.a + 1.0) < 1e-12:
-        omega1, omega2 = reduced
-        t_fix = 0.0
-        if omega1.has_continuous_part or omega2.has_continuous_part:
-            t_fix = _fit_t_shift(omega1, omega2, tol)
-            if t_fix != 0.0:
-                omega1 = omega1.shifted(XPoint(group, t_fix, 0, group.G.zero()))
-                flags.append("t_shift_aligned")
-        dk = _kernel_alignment(omega1, omega2, kernel, tol)
-        if not dk.is_zero:
-            omega1 = omega1.shifted(XPoint(group, 0.0, 0, dk))
-            flags.append("k_alignment_applied")
-        direction, d, vt, alternatives, dflags = _delta_between(omega1, omega2, tol)
-        flags.extend(dflags)
-        shift1 = XPoint(group, -t_fix, 0, reps[0] - dk)
-        shift2 = XPoint(group, 0.0, 0, reps[1])
-        rec_err = max(
-            char_sup_distance(omega1.shifted(shift1), mu1),
-            char_sup_distance(omega2.shifted(shift2), mu2),
-        )
-        if rec_err > tol:
-            raise DecompositionError(
-                f"reconstruction error {rec_err:.3e} exceeds tolerance"
-            )
-        notes.append(
-            "a = -1 branch: shifts are full ambient points (real and finite "
-            "coordinates), not finite elements only"
-        )
-        return Decomposition(
-            BRANCH_MINUS_ONE,
-            None,
-            (omega1, omega2),
-            (shift1, shift2),
-            direction,
-            d,
-            vt,
-            kernel,
-            None,
-            None,
-            report.residual,
-            rec_err,
-            tuple(flags),
-            tuple(notes),
-            alternatives,
-        )
-
-    raws = [_real_profile(m, label) for m, label in zip(reduced, ("mu1", "mu2"))]
+    group = reduced[0].group
     gammas: list[ThetaParams] = []
     omegas: list[AtomicSignedMeasure] = []
+    kappas: list[float] = []
     rhos: list[float] = []
-    for raw, label, mu_red in zip(raws, ("mu1", "mu2"), reduced):
+    for label, mu_red in zip(("mu1", "mu2"), reduced):
+        raw = _real_profile(mu_red, label)
         degenerate = (raw.sigma_p, raw.m_p) == (raw.sigma, raw.m)
         if degenerate:
             rho = 1.0
@@ -537,8 +425,7 @@ def decompose(
         # and the leftover scalar sign/rho moves into omega as an order-2
         # signed factor, keeping the product exactly equal to mu
         pi = PiMeasure(sign / rho)
-        tau = _finite_marginal(mu_red)
-        omega = tau.convolve(pi.to_measure(group))
+        omega = _finite_marginal(mu_red).convolve(pi.to_measure(group))
         verdict = is_distribution(omega)
         if verdict.is_no:
             raise DecompositionError(
@@ -547,47 +434,121 @@ def decompose(
             )
         gammas.append(ThetaParams(raw.sigma, raw.sigma_p, raw.m, raw.m_p, rho * sign))
         omegas.append(omega)
+        kappas.append(raw.kappa)
         rhos.append(rho)
-
-    if not check_cross_constraints(gammas[0], gammas[1], alpha.a, tol=math.sqrt(tol)):
+    if not check_cross_constraints(gammas[0], gammas[1], a, tol=math.sqrt(tol)):
         raise DecompositionError(
-            "recovered exponential parameters violate the cross constraints "
-            f"for a = {alpha.a}"
+            f"recovered exponential parameters violate the cross constraints for a = {a}"
         )
+    return tuple(gammas), tuple(omegas), tuple(kappas), tuple(rhos)
 
-    omega1, omega2 = omegas
+
+def decompose(
+    mu1: AtomicSignedMeasure,
+    mu2: AtomicSignedMeasure,
+    alpha: XAutomorphism,
+    tol: float = 1e-9,
+) -> Decomposition:
+    """Recover the canonical factorization from a valid equation instance.
+
+    One pipeline for both branches.  Gate: the grid residual of the
+    symmetry equation must be at most tol.  Each mu is reduced to the
+    canonical K-coset representative of its finite support.  The factor
+    step is the only branch-specific part: for a != -1 it reads the
+    exponential profiles, renormalizes the two-Gaussian factor to its
+    extremal coefficient (pushing the remainder into omega through an
+    order-2 signed factor) and checks the cross constraints; for a = -1
+    there is no gamma factor, omega_j is the reduced mu_j, and the real
+    shift is aligned by first moments.  Then the omegas are aligned by a
+    K-translation, linked by an order-2 measure, and the reconstruction is
+    checked against mu1 and mu2.
+    """
+    group = mu1.group
+    if mu2.group != group or alpha.group != group:
+        raise DecompositionError("measures and automorphism must share one group")
+    for label, mu in (("mu1", mu1), ("mu2", mu2)):
+        if abs(mu.total_mass() - 1.0) > MASS_TOL:
+            raise DecompositionError(f"{label} total mass is not 1")
+        if is_distribution(mu).is_no:
+            raise DecompositionError(f"{label} is not a distribution")
+    report = equation_residual_report(mu1, mu2, alpha)
+    if report.residual > tol:
+        raise DecompositionError(
+            f"equation residual {report.residual:.3e} exceeds tolerance {tol:.1e}; "
+            "the symmetry hypothesis fails"
+        )
+    kernel = tuple(kernel_of_I_plus(alpha.alpha_G))
+    reps = [_coset_representative(mu, kernel, label) for mu, label in ((mu1, "mu1"), (mu2, "mu2"))]
+    reduced = [mu.shifted(XPoint(group, 0.0, 0, -rep)) for mu, rep in zip((mu1, mu2), reps)]
+
+    flags: list[str] = []
+    notes: list[str] = []
+    t_fix = 0.0
+    if abs(alpha.a + 1.0) < 1e-12:
+        branch = BRANCH_MINUS_ONE
+        gamma = kappa_raw = rho = None
+        omega1, omega2 = reduced
+        # conditional symmetry gives E[L2] = 0, so mu1 and mu2 share their
+        # mean when a = -1; K- and order-2 shifts leave the real coordinate
+        # alone, so any gap in first moments is a real translation
+        m1, m2 = (sum(t.c * t.atom.shift for t in w.terms) for w in reduced)
+        if abs(m2 - m1) > tol:
+            t_fix = m2 - m1
+            omega1 = omega1.shifted(XPoint(group, t_fix, 0, group.G.zero()))
+            flags.append("t_shift_aligned")
+        notes.append(
+            "a = -1 branch: shifts are full ambient points (real and finite "
+            "coordinates), not finite elements only"
+        )
+    else:
+        branch = BRANCH_GENERIC
+        gamma, (omega1, omega2), kappa_raw, rho = _factor(reduced, alpha.a, tol)
+
     dk = _kernel_alignment(omega1, omega2, kernel, tol)
     if not dk.is_zero:
         omega1 = omega1.shifted(XPoint(group, 0.0, 0, dk))
         flags.append("k_alignment_applied")
-    direction, d, vt, alternatives, dflags = _delta_between(omega1, omega2, tol)
-    flags.extend(dflags)
-
-    shift1 = XPoint(group, 0.0, 0, reps[0] - dk)
-    shift2 = XPoint(group, 0.0, 0, reps[1])
-    rec1 = theta_to_measure(gammas[0], group).convolve(omega1).shifted(shift1)
-    rec2 = theta_to_measure(gammas[1], group).convolve(omega2).shifted(shift2)
-    rec_err = max(char_sup_distance(rec1, mu1), char_sup_distance(rec2, mu2))
-    if rec_err > tol:
+    try:
+        rel = delta_relation(omega1, omega2, tol=max(tol, 1e-11))
+    except ValueError as exc:
         raise DecompositionError(
-            f"reconstruction error {rec_err:.3e} exceeds tolerance"
+            f"cannot link the two omega factors by an order-2 convolution: {exc}"
+        ) from exc
+    if not rel.holds:
+        raise DecompositionError(
+            "the two omega factors are not linked by an order-2 convolution"
         )
+    if rel.branch == "tau1_eq_tau2_conv_delta":
+        direction, other = OMEGA1_FROM_OMEGA2, OMEGA2_FROM_OMEGA1
+    else:
+        direction, other = OMEGA2_FROM_OMEGA1, OMEGA1_FROM_OMEGA2
+    flags.extend(rel.flags)
+
+    # 0.0 - t_fix keeps an unshifted real coordinate at +0.0
+    shift = (XPoint(group, 0.0 - t_fix, 0, reps[0] - dk), XPoint(group, 0.0, 0, reps[1]))
+    omega = (omega1, omega2)
+    rec_err = 0.0
+    for j, mu in enumerate((mu1, mu2)):
+        rec = omega[j] if gamma is None else theta_to_measure(gamma[j], group).convolve(omega[j])
+        rec_err = max(rec_err, char_sup_distance(rec.shifted(shift[j]), mu))
+    if rec_err > tol:
+        raise DecompositionError(f"reconstruction error {rec_err:.3e} exceeds tolerance")
     return Decomposition(
-        BRANCH_GENERIC,
-        (gammas[0], gammas[1]),
-        (omega1, omega2),
-        (shift1, shift2),
-        direction,
-        d,
-        vt,
-        kernel,
-        (raws[0].kappa, raws[1].kappa),
-        (rhos[0], rhos[1]),
-        report.residual,
-        rec_err,
-        tuple(flags),
-        tuple(notes),
-        alternatives,
+        branch=branch,
+        gamma=gamma,
+        omega=omega,
+        shift=shift,
+        vartheta_direction=direction,
+        vartheta_d=rel.d,
+        vartheta=rel.delta,
+        kernel=kernel,
+        kappa_raw=kappa_raw,
+        rho=rho,
+        residual=report.residual,
+        reconstruction_error=rec_err,
+        flags=tuple(flags),
+        notes=tuple(notes),
+        vartheta_alternatives=((other, rel.d),) if "both_branches_fit" in rel.flags else (),
     )
 
 

@@ -124,6 +124,40 @@ class TestCheckPipeline:
         assert "diagnostics" in json.loads(out)
 
 
+# valid instances whose omega characteristic function vanishes: decompose
+# exits 1 with diagnostics, not 2
+VANISHING_OMEGA2 = {
+    "odd_slice": [
+        {"c": 0.5, "sigma": 0.0, "shift": 0.0, "m": 0, "g": [0]},
+        {"c": 0.5, "sigma": 0.0, "shift": 0.0, "m": 1, "g": [0]},
+    ],
+    "uniform_on_K": [
+        {"c": 1.0 / 3.0, "sigma": 0.0, "shift": 0.0, "m": 0, "g": [g]} for g in range(3)
+    ],
+}
+
+
+@pytest.mark.parametrize("omega_key", sorted(VANISHING_OMEGA2))
+def test_decompose_vanishing_omega_exits_one(tmp_path, capsys, omega_key):
+    case = dict(GENERATE_CASE)
+    case.update(
+        a=-1.0,
+        theta2={"sigma": 1.0, "sigma_p": 0.5, "m": 0.1, "m_p": -0.2, "kappa": 0.3},
+        omega2={"terms": VANISHING_OMEGA2[omega_key]},
+        vartheta_d=0.5,
+        x2={"t": 0.3, "m": 1, "g": [1]},
+    )
+    code, out = run(capsys, ["generate", write_case(tmp_path, case)])
+    assert code == EXIT_OK
+    payload_path = write_case(tmp_path, json.loads(out), "inst.json")
+    code, out = run(capsys, ["check", payload_path])
+    assert code == EXIT_OK
+    code, out = run(capsys, ["decompose", payload_path])
+    assert code == EXIT_VIOLATED
+    report = json.loads(out)
+    assert report["error"] == "hypothesis violated" and report["diagnostics"]
+
+
 class TestTheta:
     def test_member_exits_zero(self, tmp_path, capsys):
         case = {"sigma": 1.0, "sigma_p": 1.0, "m": 0.0, "m_p": 0.0, "kappa": 0.5}
@@ -325,13 +359,23 @@ class TestNonFiniteInput:
         assert code == EXIT_INVALID
         assert out == ""
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_check_overflowing_shift_exits_two(self, tmp_path, capsys):
-        # finite on input, but exp(i * shift * s) overflows to NaN on the grid
+    def overflow_exits_two(self, tmp_path, capsys, command):
+        # finite on input, but exp(i * shift * s) overflows to NaN on the grid;
+        # stderr carries the one error line and no numpy warning
         term = {"c": 1.0, "sigma": 0.0, "shift": 1e308, "m": 0, "g": [0]}
-        code, out = run(capsys, ["check", write_case(tmp_path, self.check_case(term))])
+        code = main([command, write_case(tmp_path, self.check_case(term))])
+        captured = capsys.readouterr()
         assert code == EXIT_INVALID
-        assert out == ""
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: invalid input: equation residual is not finite (nan)"
+        ]
+
+    def test_check_overflowing_shift_exits_two(self, tmp_path, capsys):
+        self.overflow_exits_two(tmp_path, capsys, "check")
+
+    def test_decompose_overflowing_shift_exits_two(self, tmp_path, capsys):
+        self.overflow_exits_two(tmp_path, capsys, "decompose")
 
     def test_theta_infinite_sigma_exits_two(self, tmp_path, capsys):
         params = {"sigma": float("inf"), "sigma_p": 0.5, "m": 0.0, "m_p": 0.0, "kappa": 0.3}

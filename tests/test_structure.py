@@ -13,6 +13,7 @@ from heyde import (
     PiMeasure,
     ThetaParams,
     XAutomorphism,
+    XPoint,
     char_fn,
     char_sup_distance,
     check_cross_constraints,
@@ -298,6 +299,10 @@ class TestDecomposeMinusOne:
         want_d = expected_recovered_d(inst, branch_generic=False)
         assert d_eff == pytest.approx(want_d, rel=1e-8)
         assert any("a = -1" in n for n in dec.notes)
+        # equal first moments on an exact instance: no real shift, and +0.0
+        assert "t_shift_aligned" not in dec.flags
+        for x in dec.shift:
+            assert x.t == 0.0 and math.copysign(1.0, x.t) == 1.0
 
 
 class TestDecomposeRejections:
@@ -333,6 +338,75 @@ class TestDecomposeRejections:
             assert all(isinstance(s, str) for s in e.diagnostics)
         else:
             pytest.fail("expected DecompositionError")
+
+
+# omega2 whose characteristic function vanishes on part of the dual: the
+# odd slice (equal parity weights over one point) or every nontrivial h
+VANISHING_OMEGA2 = {
+    "odd_slice": [(0.5, 0.0, 0.0, 0, (0,)), (0.5, 0.0, 0.0, 1, (0,))],
+    "uniform_on_K": [(1.0 / 3.0, 0.0, 0.0, 0, (g,)) for g in range(3)],
+}
+
+
+def vanishing_instance(a, omega_key):
+    G = FiniteAbelianGroup((3,))
+    X = AmbientGroup(G)
+    spec = InstanceSpec(
+        group=X,
+        a=a,
+        alpha_G=negation_automorphism(G),
+        theta2=ThetaParams(1.0, 0.5, 0.1, -0.2, 0.3),
+        omega2=AtomicSignedMeasure.from_terms(X, VANISHING_OMEGA2[omega_key]),
+        vartheta_d=0.5,
+        x2=X.point(0.3, 1, (1,)),
+    )
+    return generate_instance(spec)
+
+
+class TestDecomposeVanishingOmega:
+    """A valid instance whose omega characteristic function vanishes cannot
+    be factored; decompose says so with a DecompositionError, never a bare
+    ValueError (which the CLI would report as invalid input)."""
+
+    @pytest.mark.parametrize("a", [-1.0, -2.0])
+    @pytest.mark.parametrize("omega_key", sorted(VANISHING_OMEGA2))
+    def test_raises_decomposition_error(self, a, omega_key):
+        inst = vanishing_instance(a, omega_key)
+        assert equation_residual(inst.mu1, inst.mu2, inst.alpha) <= 1e-12
+        with pytest.raises(DecompositionError) as info:
+            decompose(inst.mu1, inst.mu2, inst.alpha)
+        assert info.value.diagnostics and all(isinstance(d, str) for d in info.value.diagnostics)
+
+
+def real_mean(mu):
+    return sum(t.c * t.atom.shift for t in mu.terms)
+
+
+class TestFirstMoments:
+    """Conditional symmetry forces E[L2] = 0, so mean(mu1) + a mean(mu2) = 0;
+    the a = -1 branch aligns its real shift by that identity (its exact
+    round trips are checked in TestDecomposeMinusOne)."""
+
+    @pytest.mark.parametrize("case", DECOMPOSE_CASES + MINUS_ONE_CASES)
+    def test_means_satisfy_the_identity(self, case):
+        inst = standard_instance(**case)
+        assert abs(real_mean(inst.mu1) + inst.alpha.a * real_mean(inst.mu2)) <= 1e-12
+
+    @pytest.mark.parametrize("sigma", [0.7, 25.0])
+    @pytest.mark.parametrize("dt", [1e-3, 0.1, 1.0])
+    def test_loose_tol_translation_is_recovered(self, sigma, dt):
+        inst = standard_instance(
+            a=-1.0, sigma=sigma, sigma_p=0.4 * sigma, kappa=0.5, vartheta_d=0.7,
+            x2=(0.3, 1, (1,)),
+        )
+        X = inst.mu1.group
+        mu1 = inst.mu1.shifted(XPoint(X, dt, 0, X.G.zero()))
+        tol = 1.01 * equation_residual(mu1, inst.mu2, inst.alpha)
+        dec = decompose(mu1, inst.mu2, inst.alpha, tol=tol)
+        assert "t_shift_aligned" in dec.flags
+        assert dec.shift[0].t == pytest.approx(dt, rel=1e-9)
+        assert dec.shift[1].t == 0.0
+        assert dec.reconstruction_error <= 1e-10
 
 
 class TestLambdaTau:
