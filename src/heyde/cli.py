@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -34,7 +35,7 @@ from .structure import (
     generate_instance,
     rigidity_decision,
 )
-from .symmetry import SGrid, equation_residual_report, mc_symmetry_test
+from .symmetry import SGrid, equation_residual_report, joint_law_report, mc_symmetry_test
 from .theta import ThetaParams, is_in_theta, rho_extremal, theta_to_measure, theta_verdict
 
 EXIT_OK = 0
@@ -170,26 +171,32 @@ def _emit_csv(path: str | None, header: list[str], rows) -> None:
         sys.stdout.write(text)
 
 
-def _grid_from_args(args) -> SGrid:
-    return SGrid(smax=args.smax, points=args.grid)
-
-
 def cmd_check(args) -> int:
+    method = "grid" if args.grid is not None or args.smax is not None else "joint_law"
     case = _load_case(args.case)
     group = _parse_group(case)
     alpha = _parse_alpha(group, case)
     mu1 = _parse_measure(group, _require(case, "mu1"))
     mu2 = _parse_measure(group, _require(case, "mu2"))
-    report_in = equation_residual_report(mu1, mu2, alpha, _grid_from_args(args))
-    passed = report_in.residual <= args.tol
+    if method == "joint_law":
+        joint = joint_law_report(mu1, mu2, alpha)
+        residual = joint.residual
+        detail = {"worst": None if joint.worst is None else joint.worst.to_json()}
+    else:
+        grid = SGrid(smax=args.smax, points=33 if args.grid is None else args.grid)
+        report_in = equation_residual_report(mu1, mu2, alpha, grid)
+        residual = report_in.residual
+        detail = {"grid": {"smax": report_in.smax, "points": report_in.points}}
+    passed = residual <= args.tol
     report = {
         "command": "check",
         "version": __version__,
-        "residual": report_in.residual,
+        "method": method,
+        "residual": residual,
         "tol": args.tol,
         "pass": passed,
-        "grid": {"smax": report_in.smax, "points": report_in.points},
     }
+    report.update(detail)
     _emit(report, args.json)
     return EXIT_OK if passed else EXIT_VIOLATED
 
@@ -361,6 +368,27 @@ def cmd_density_dump(args) -> int:
     return EXIT_OK
 
 
+def _checked(convert, accept, rule: str):
+    """argparse type: convert the text, then refuse values outside the rule."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {rule}")
+        return value
+
+    return parse
+
+
+# a NaN tolerance would let every "residual > tol" test pass
+TOL = _checked(float, lambda v: math.isfinite(v) and v >= 0.0, "a finite number >= 0")
+SMAX = _checked(float, lambda v: math.isfinite(v) and v > 0.0, "a finite number > 0")
+SAMPLES = _checked(int, lambda v: v >= 1, "an integer >= 1")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="heyde",
@@ -373,12 +401,16 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p, tol_default=1e-9):
         p.add_argument("case", help="JSON case file, or - for stdin")
         p.add_argument("--json", metavar="PATH", help="also write the report to PATH")
-        p.add_argument("--tol", type=float, default=tol_default)
+        p.add_argument("--tol", type=TOL, default=tol_default)
 
-    p = sub.add_parser("check", help="grid residual of the symmetry equation")
+    p = sub.add_parser(
+        "check", help="residual of the symmetry equation (exact joint law, or an s-grid)"
+    )
     add_common(p)
-    p.add_argument("--grid", type=int, default=33, metavar="M", help="s-grid points")
-    p.add_argument("--smax", type=float, default=None, help="s-grid half width")
+    p.add_argument(
+        "--grid", type=int, default=None, metavar="M", help="use an s-grid of M points (33)"
+    )
+    p.add_argument("--smax", type=SMAX, default=None, help="use an s-grid of this half width")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("generate", help="build an exact instance from building blocks")
@@ -399,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="Monte Carlo conditional-symmetry test")
     add_common(p)
-    p.add_argument("--samples", type=int, default=100_000, metavar="N")
+    p.add_argument("--samples", type=SAMPLES, default=100_000, metavar="N")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--csv", metavar="PATH", help="write sample draws as CSV")
     p.set_defaults(func=cmd_simulate)

@@ -27,12 +27,7 @@ from .measures import (
     order_two_measure,
     two_term_bound,
 )
-from .symmetry import (
-    VANISH_TOL,
-    char_sup_distance,
-    delta_relation,
-    equation_residual_report,
-)
+from .symmetry import VANISH_TOL, char_sup_distance, delta_relation, joint_law_report
 from .theta import (
     PiMeasure,
     ThetaParams,
@@ -274,11 +269,13 @@ class Decomposition:
     branch a_not_minus_one: mu_j = gamma_j-measure * omega_j * E_shift_j
     with omega_j on Z(2) x K and |gamma_j.kappa| at the extremal bound.
     branch a_minus_one: mu_j = omega_j * E_shift_j with omega_j on
-    R x Z(2) x K, gamma, kappa_raw and rho absent, and the real part of
-    shift_1 the first-moment gap between the two reduced measures (0 on an
-    exact instance).  In both, one of the omegas equals the other convolved
-    with a Z(2) distribution of odd-character value vartheta_d (direction
-    in vartheta_direction).
+    R x Z(2) x K and gamma, kappa_raw and rho absent; real translations
+    stay in omega_j, so the real part of each shift is 0.  In both, one of
+    the omegas equals the other convolved with a Z(2) distribution of
+    odd-character value vartheta_d (direction in vartheta_direction).
+    residual is the gate's joint-law residual: the l1 norm of the
+    coefficients of law(L1, L2) - law(L1, -L2), an upper bound on the
+    symmetry identity's deviation over the whole dual.
     """
 
     branch: str
@@ -451,18 +448,20 @@ def decompose(
 ) -> Decomposition:
     """Recover the canonical factorization from a valid equation instance.
 
-    One pipeline for both branches.  Gate: the grid residual of the
-    symmetry equation must be at most tol.  Each mu is reduced to the
-    canonical K-coset representative of its finite support.  The factor
-    step is the only branch-specific part: for a != -1 it reads the
-    exponential profiles, renormalizes the two-Gaussian factor to its
-    extremal coefficient (pushing the remainder into omega through an
-    order-2 signed factor) and checks the cross constraints; for a = -1
-    there is no gamma factor, omega_j is the reduced mu_j, and the real
-    shift is aligned by first moments.  Then the omegas are aligned by a
+    One pipeline for both branches.  Gate: the joint-law residual of the
+    symmetry equation must be at most tol (finite and >= 0, else
+    ValueError).  Each mu is reduced to the canonical K-coset
+    representative of its finite support.  The factor step is the only
+    branch-specific part: for a != -1 it reads the exponential profiles,
+    renormalizes the two-Gaussian factor to its extremal coefficient
+    (pushing the remainder into omega through an order-2 signed factor)
+    and checks the cross constraints; for a = -1 there is no gamma factor
+    and omega_j is the reduced mu_j.  Then the omegas are aligned by a
     K-translation, linked by an order-2 measure, and the reconstruction is
     checked against mu1 and mu2.
     """
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
     group = mu1.group
     if mu2.group != group or alpha.group != group:
         raise DecompositionError("measures and automorphism must share one group")
@@ -471,7 +470,7 @@ def decompose(
             raise DecompositionError(f"{label} total mass is not 1")
         if is_distribution(mu).is_no:
             raise DecompositionError(f"{label} is not a distribution")
-    report = equation_residual_report(mu1, mu2, alpha)
+    report = joint_law_report(mu1, mu2, alpha)
     if report.residual > tol:
         raise DecompositionError(
             f"equation residual {report.residual:.3e} exceeds tolerance {tol:.1e}; "
@@ -483,22 +482,13 @@ def decompose(
 
     flags: list[str] = []
     notes: list[str] = []
-    t_fix = 0.0
     if abs(alpha.a + 1.0) < 1e-12:
         branch = BRANCH_MINUS_ONE
         gamma = kappa_raw = rho = None
         omega1, omega2 = reduced
-        # conditional symmetry gives E[L2] = 0, so mu1 and mu2 share their
-        # mean when a = -1; K- and order-2 shifts leave the real coordinate
-        # alone, so any gap in first moments is a real translation
-        m1, m2 = (sum(t.c * t.atom.shift for t in w.terms) for w in reduced)
-        if abs(m2 - m1) > tol:
-            t_fix = m2 - m1
-            omega1 = omega1.shifted(XPoint(group, t_fix, 0, group.G.zero()))
-            flags.append("t_shift_aligned")
         notes.append(
-            "a = -1 branch: shifts are full ambient points (real and finite "
-            "coordinates), not finite elements only"
+            "a = -1 branch: no gamma factor; real translations stay in omega_j, "
+            "so the real part of each shift is 0"
         )
     else:
         branch = BRANCH_GENERIC
@@ -524,8 +514,7 @@ def decompose(
         direction, other = OMEGA2_FROM_OMEGA1, OMEGA1_FROM_OMEGA2
     flags.extend(rel.flags)
 
-    # 0.0 - t_fix keeps an unshifted real coordinate at +0.0
-    shift = (XPoint(group, 0.0 - t_fix, 0, reps[0] - dk), XPoint(group, 0.0, 0, reps[1]))
+    shift = (XPoint(group, 0.0, 0, reps[0] - dk), XPoint(group, 0.0, 0, reps[1]))
     omega = (omega1, omega2)
     rec_err = 0.0
     for j, mu in enumerate((mu1, mu2)):

@@ -7,11 +7,25 @@ when the characteristic functions satisfy, for all dual u, v,
 
     f1(u + v) * f2(u + B v) = f1(u - v) * f2(u - B v)
 
-with B the adjoint of alpha.  This module evaluates that identity on
-grids (continuous dual coordinates sampled, finite ones exhausted), by
-Monte Carlo on sampled variables, and exactly for measures supported on
-the finite part.  It also decides the order-2 convolution relation
-between two finite-part distributions.
+with B the adjoint of alpha.  Equivalently, (L1, L2) and (L1, -L2) have
+the same law.  For atomic measures that joint law is a finite mixture of
+bivariate Gaussians (possibly degenerate) times points of
+(Z(2) x G)^2, and components with distinct (covariance, mean, finite
+point) are linearly independent, so the identity holds exactly when the
+coefficients of the two laws agree component by component.  The
+joint-law residual is the l1 norm of those coefficient differences; each
+component's characteristic function has modulus at most 1, so it bounds
+the identity's deviation over the whole dual from above.  Real key
+coordinates are matched by single-linkage clustering: sorted values join
+one cluster while each gap is at most KEY_TOL * max(1, size), size the
+sum of the absolute operands the key was formed from (so at least |x|).
+That is a documented tolerance, not float rounding.
+
+The module also evaluates the identity on grids (continuous dual
+coordinates sampled, finite ones exhausted), by Monte Carlo on sampled
+variables, and exactly for measures supported on the finite part, and it
+decides the order-2 convolution relation between two finite-part
+distributions.
 """
 
 from __future__ import annotations
@@ -27,6 +41,11 @@ from .finite_abelian import FiniteAbelianGroup, GroupAutomorphism, pairing_phase
 from .measures import AtomicSignedMeasure, char_values, order_two_measure, sample_arrays
 
 __all__ = [
+    "KEY_TOL",
+    "JointKey",
+    "JointLawReport",
+    "joint_law_report",
+    "joint_law_residual",
     "SGrid",
     "ResidualReport",
     "equation_residual",
@@ -41,6 +60,7 @@ __all__ = [
 ]
 
 VANISH_TOL = 1e-10
+KEY_TOL = 1e-9
 
 
 def _gaussian_sigmas(*measures: AtomicSignedMeasure) -> list[float]:
@@ -66,6 +86,149 @@ def ratio_probe_scale(*measures: AtomicSignedMeasure) -> float:
     if not sigmas:
         return 10.0
     return 3.0 / math.sqrt(max(sigmas))
+
+
+@dataclass(frozen=True)
+class JointKey:
+    """One component of the law of (L1, L2) and its unmatched coefficient.
+
+    n is the Z(2) coordinate L1 and L2 share, g1 and g2 their points in G,
+    mean the real mean of (L1, L2), and coefficient the summed coefficient
+    of law(L1, L2) - law(L1, -L2) on this component.
+    """
+
+    n: int
+    g1: tuple[int, ...]
+    g2: tuple[int, ...]
+    mean: tuple[float, float]
+    coefficient: float
+
+    def to_json(self) -> dict:
+        return {
+            "n": self.n,
+            "g1": list(self.g1),
+            "g2": list(self.g2),
+            "mean": list(self.mean),
+            "coefficient": self.coefficient,
+        }
+
+
+@dataclass(frozen=True)
+class JointLawReport:
+    residual: float
+    worst: JointKey | None  # None when every coefficient cancels exactly
+
+
+def _term_arrays(mu: AtomicSignedMeasure) -> tuple[np.ndarray, ...]:
+    """Coefficients, sigmas, shifts, parities and finite coordinates of mu."""
+    real = np.array([(t.c, t.atom.sigma, t.atom.shift) for t in mu.terms]).reshape(-1, 3)
+    m = np.array([t.m for t in mu.terms], dtype=np.int64)
+    g = np.array([t.g.coords for t in mu.terms], dtype=np.int64).reshape(-1, mu.group.G.rank)
+    return real[:, 0], real[:, 1], real[:, 2], m, g
+
+
+def _cluster_labels(x: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """Single-linkage cluster of each value: sorted neighbours share a
+    cluster while their gap is at most KEY_TOL * max(1, size) of either.
+    size bounds the operands a key was summed from (|x| <= size), so a
+    key that cancels to near 0 keeps the rounding error of its operands
+    inside the tolerance."""
+    order = np.argsort(x, kind="stable")
+    v = x[order]
+    w = size[order]
+    scale = np.maximum(1.0, np.maximum(w[:-1], w[1:]))
+    labels = np.empty(len(x), dtype=np.int64)
+    labels[order] = np.concatenate(([0], np.cumsum(np.diff(v) > KEY_TOL * scale)))
+    return labels
+
+
+def _real_keys(s1, s2, t1, t2, a: float) -> np.ndarray:
+    """Real key of each term pair (i, j), one row per pair; columns var L1,
+    cov(L1, L2), var L2, mean L1, mean L2."""
+    return np.stack(
+        [
+            np.add.outer(s1, s2),
+            np.add.outer(s1, a * s2),
+            np.add.outer(s1, a * a * s2),
+            np.add.outer(t1, t2),
+            np.add.outer(t1, a * t2),
+        ],
+        axis=-1,
+    ).reshape(-1, 5)
+
+
+def joint_law_report(
+    mu1: AtomicSignedMeasure,
+    mu2: AtomicSignedMeasure,
+    alpha: XAutomorphism,
+) -> JointLawReport:
+    """l1 distance between the coefficients of law(L1, L2) and law(L1, -L2).
+
+    Term i of mu1 and term j of mu2 put c_i c_j on the (L1, L2) component
+    with covariance (s_i + s_j, s_i + a s_j, s_i + a^2 s_j), mean
+    (t_i + t_j, t_i + a t_j) and finite point (m_i + m_j, g_i + g_j,
+    g_i + alpha_G g_j), and -c_i c_j on its reflection, which negates
+    s_i + a s_j, t_i + a t_j and g_i + alpha_G g_j.  The residual bounds
+    the identity's deviation over the whole dual and is 0 exactly when
+    the identity holds (up to the KEY_TOL clustering of real keys).  Cost
+    O(U1 U2 log(U1 U2)) for atom counts U1, U2, independent of |G|.  A key
+    or coefficient beyond float range leaves the residual undefined and
+    raises ValueError.
+    """
+    if mu1.group != mu2.group or alpha.group != mu1.group:
+        raise ValueError("measures and automorphism must share one group")
+    if not (mu1.terms and mu2.terms):
+        return JointLawReport(0.0, None)
+    G = mu1.group.G
+    orders = np.array(G.cyclic_orders, dtype=np.int64)
+    a = alpha.a
+    c1, s1, t1, m1, g1 = _term_arrays(mu1)
+    c2, s2, t2, m2, g2 = _term_arrays(mu2)
+    g2a = g2 @ np.array(alpha.alpha_G.matrix, dtype=np.int64).T
+    n = np.add.outer(m1, m2).reshape(-1, 1) % 2
+    f1 = ((g1[:, None, :] + g2[None, :, :]) % orders).reshape(-1, G.rank)
+    f2 = ((g1[:, None, :] + g2a[None, :, :]) % orders).reshape(-1, G.rank)
+    finite = np.concatenate([np.hstack([n, f1, f2]), np.hstack([n, f1, -f2 % orders])])
+    # an overflowing input turns into inf or NaN here and is refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        real = _real_keys(s1, s2, t1, t2, a)
+        real = np.concatenate([real, real * np.array([1.0, -1.0, 1.0, 1.0, -1.0])])
+        # operand size of each key: the same sums over absolute values
+        size = _real_keys(np.abs(s1), np.abs(s2), np.abs(t1), np.abs(t2), abs(a))
+        size = np.concatenate([size, size])
+        coef = np.multiply.outer(c1, c2).ravel()
+        coef = np.concatenate([coef, -coef])
+        spread = real.max(axis=0) - real.min(axis=0)
+        labels = np.column_stack([_cluster_labels(x, w) for x, w in zip(real.T, size.T)])
+        _, first, inverse = np.unique(
+            np.hstack([labels, finite]), axis=0, return_index=True, return_inverse=True
+        )
+        sums = np.bincount(inverse.ravel(), weights=coef)
+        residual = float(np.abs(sums).sum())
+    if not np.isfinite(spread).all():
+        residual = math.nan  # keys beyond float range cannot be compared
+    if not math.isfinite(residual):
+        raise ValueError(f"equation residual is not finite ({residual})")
+    k = int(np.argmax(np.abs(sums)))
+    if sums[k] == 0.0:
+        return JointLawReport(residual, None)
+    row = first[k]
+    worst = JointKey(
+        int(finite[row, 0]),
+        tuple(int(v) for v in finite[row, 1 : 1 + G.rank]),
+        tuple(int(v) for v in finite[row, 1 + G.rank :]),
+        (float(real[row, 3]), float(real[row, 4])),
+        float(sums[k]),
+    )
+    return JointLawReport(residual, worst)
+
+
+def joint_law_residual(
+    mu1: AtomicSignedMeasure,
+    mu2: AtomicSignedMeasure,
+    alpha: XAutomorphism,
+) -> float:
+    return joint_law_report(mu1, mu2, alpha).residual
 
 
 @dataclass(frozen=True)
@@ -252,8 +415,10 @@ def mc_symmetry_test(
     threshold is 4/sqrt(n_samples): the probes are
     bounded test functions, so a true symmetry keeps every difference
     within a few multiples of the Monte Carlo scale 1/sqrt(n).  A
-    non-finite statistic raises ValueError.
+    non-finite statistic, or n_samples < 1, raises ValueError.
     """
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     group = mu1.group
     if probes is None:
         probes = _default_probe_pairs(group, mu1, mu2)

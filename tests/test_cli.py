@@ -1,9 +1,12 @@
 import csv
 import json
+import math
 
 import pytest
 
+from heyde import decompose, mc_symmetry_test
 from heyde.cli import EXIT_INVALID, EXIT_OK, EXIT_VIOLATED, main
+from conftest import standard_instance
 
 GROUP = {"cyclic_orders": [3]}
 ALPHA = {"a": -2.0, "alpha_G": {"matrix": [[2]]}}  # negation on Z(3)
@@ -95,6 +98,30 @@ class TestCheckPipeline:
         code, out = run(capsys, ["check", write_case(tmp_path, payload, "bad.json")])
         assert code == EXIT_VIOLATED
         assert json.loads(out)["pass"] is False
+
+    def test_joint_law_is_the_default_and_names_its_worst_key(self, tmp_path, capsys):
+        payload = generated_payload(tmp_path, capsys)
+        code, out = run(capsys, ["check", write_case(tmp_path, payload, "check.json")])
+        assert code == EXIT_OK
+        report = json.loads(out)
+        assert report["method"] == "joint_law"
+        assert "grid" not in report
+        terms = payload["mu2"]["terms"]
+        terms[0]["c"] += 0.05
+        code, out = run(capsys, ["check", write_case(tmp_path, payload, "bad.json")])
+        assert code == EXIT_VIOLATED
+        worst = json.loads(out)["worst"]
+        assert set(worst) == {"n", "g1", "g2", "mean", "coefficient"}
+        assert abs(worst["coefficient"]) > 1e-3
+
+    def test_grid_options_select_the_grid_path(self, tmp_path, capsys):
+        payload = generated_payload(tmp_path, capsys)
+        case = write_case(tmp_path, payload, "check.json")
+        code, out = run(capsys, ["check", case, "--smax", "2.0"])
+        assert code == EXIT_OK
+        report = json.loads(out)
+        assert report["method"] == "grid" and "worst" not in report
+        assert report["grid"] == {"smax": 2.0, "points": 33}
 
     def test_grid_flags_echoed(self, tmp_path, capsys):
         payload = generated_payload(tmp_path, capsys)
@@ -382,3 +409,40 @@ class TestNonFiniteInput:
         code, out = run(capsys, ["theta", write_case(tmp_path, params)])
         assert code == EXIT_INVALID
         assert out == ""
+
+
+class TestNumericArguments:
+    """Numeric options are checked by the parser: exit 2 with a usage
+    message, before any case is read."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["decompose", "--tol", "nan"],
+            ["check", "--tol", "nan"],
+            ["check", "--tol", "-1e-9"],
+            ["check", "--tol", "inf"],
+            ["check", "--smax", "inf"],
+            ["check", "--smax", "0"],
+            ["simulate", "--samples", "0"],
+            ["simulate", "--samples", "many"],
+        ],
+    )
+    def test_bad_value_exits_two(self, tmp_path, capsys, argv):
+        payload = generated_payload(tmp_path, capsys)
+        case = write_case(tmp_path, payload, "case.json")
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], case, *argv[1:]])
+        assert exc.value.code == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {argv[1]}" in captured.err
+        assert "Warning" not in captured.err
+
+    def test_library_refuses_bad_tol_and_sample_count(self):
+        inst = standard_instance()
+        for tol in (math.nan, -1.0, math.inf):
+            with pytest.raises(ValueError, match="tol"):
+                decompose(inst.mu1, inst.mu2, inst.alpha, tol=tol)
+        with pytest.raises(ValueError, match="n_samples"):
+            mc_symmetry_test(inst.mu1, inst.mu2, inst.alpha, 0)

@@ -1,9 +1,17 @@
+import importlib.util
 import math
+import random
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from heyde import (
+    decompose,
     AmbientGroup,
     AtomicSignedMeasure,
     FiniteAbelianGroup,
@@ -19,13 +27,30 @@ from heyde import (
     equation_residual,
     equation_residual_report,
     finite_exact_check,
+    joint_law_report,
+    joint_law_residual,
     kernel_of_I_plus,
     mc_symmetry_test,
     negation_automorphism,
     ratio_probe_scale,
     scalar_automorphism,
 )
+from heyde.symmetry import KEY_TOL, _cluster_labels
 from conftest import perturb_coefficient, standard_instance
+
+
+def load_workloads():
+    """bench/workloads.py by path: its instance generator and perturbation
+    draw the pairs below (the file is only read)."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("heyde_bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+WORKLOADS = load_workloads()
 
 
 @pytest.fixture
@@ -320,3 +345,115 @@ class TestCharSupDistance:
                 (float(w[2]), 0.0, 0.0, 0, (2,)),
             ],
         )
+
+
+class TestJointLaw:
+    """The joint-law residual against the grid residual as oracle: each
+    component's characteristic function has modulus <= 1, so the grid
+    residual never exceeds it, and the two agree on the 1e-9 gate."""
+
+    W = WORKLOADS
+    SWEEP_GROUPS = (W.Z3, W.Z5, W.Z7, W.Z9, W.Z3Z3, W.Z3Z5, W.Z9Z5)
+    SWEEP_A = (-0.5, -1.0, -2.0, -3.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=hs.integers(0, 2**32 - 1),
+        group=hs.sampled_from((W.Z3, W.Z5, W.Z3Z3, W.Z3Z5)),
+        a=hs.sampled_from((-0.5, -1.0, -2.0, -3.0, 0.5, 2.0, 3.0)),
+        point_mass=hs.booleans(),
+        perturbed=hs.booleans(),
+    )
+    def test_bounds_the_grid_and_gives_its_verdict(self, seed, group, a, point_mass, perturbed):
+        # a > 0 forces sigma = 0: both factors are point masses
+        inst = self.W.draw_instance(random.Random(seed), group, a=a, point_mass=point_mass or a > 0)
+        mu2 = self.W.perturb(inst.mu2) if perturbed else inst.mu2
+        joint = joint_law_residual(inst.mu1, mu2, inst.alpha)
+        grid = equation_residual(inst.mu1, mu2, inst.alpha)
+        assert grid <= joint + 1e-12
+        assert (grid <= 1e-9) == (joint <= 1e-9)
+        assert (joint <= 1e-9) == (not perturbed)
+
+    @pytest.mark.parametrize("group", SWEEP_GROUPS, ids=lambda g: "x".join(map(str, g[0])))
+    def test_sweep_gate_matches_grid(self, group):
+        for a in self.SWEEP_A:
+            inst = self.W.draw_instance(random.Random(f"sweep:{group}:{a}"), group, a=a)
+            for mu2 in (inst.mu2, self.W.perturb(inst.mu2)):
+                joint = joint_law_residual(inst.mu1, mu2, inst.alpha)
+                grid = equation_residual(inst.mu1, mu2, inst.alpha)
+                assert (joint <= 1e-9) == (grid <= 1e-9) == (mu2 is inst.mu2), (a, joint, grid)
+
+    def test_iid_pair_under_full_negation_is_exact(self, x3):
+        # (L1, -L2) is (L1, L2) with the two factors swapped, so a component
+        # with cov(L1, L2) = s_i - s_j != 0 cancels only against its swap
+        A = neg_alpha(x3)
+        mu = AtomicSignedMeasure.from_terms(
+            x3, [(0.6, 1.0, 0.4, 0, (1,)), (0.4, 0.5, -0.2, 1, (2,))]
+        )
+        assert joint_law_residual(mu, mu, A) <= 1e-15
+        nu = AtomicSignedMeasure.from_terms(
+            x3, [(0.6, 1.0, 0.4, 0, (1,)), (0.4, 0.6, -0.2, 1, (2,))]
+        )
+        assert joint_law_residual(mu, nu, A) >= equation_residual(mu, nu, A) > 1e-3
+
+    @pytest.mark.parametrize("gap, merged", [(0.4 * KEY_TOL, True), (1.5 * KEY_TOL, False)])
+    def test_keys_within_key_tol_merge(self, x3, gap, merged):
+        # a = -1: L2 has mean t1 - t2 and -L2 its negation, 2 * |t1 - t2| apart
+        A = neg_alpha(x3)
+        mu1 = dirac(x3.point(0.5 * gap, 0, (0,)))
+        mu2 = dirac(x3.point(0.0, 0, (0,)))
+        rep = joint_law_report(mu1, mu2, A)
+        assert rep.residual == (0.0 if merged else 2.0)
+        assert (rep.worst is None) == merged
+
+    def test_key_tol_is_relative_beyond_one(self):
+        x = np.array([1e6, 1e6 + 0.5e-3, 1e6 + 2.6e-3, 0.0, 0.4e-9, 0.8e-9, 2.0e-9])
+        assert list(_cluster_labels(x, np.abs(x))) == [2, 2, 3, 0, 0, 0, 1]
+
+    def test_key_tol_scales_with_the_operands(self):
+        # keys near 0 summed from operands of size 1e7 keep their rounding
+        x = np.array([-3e-9, 0.0, 4e-9, 1.0])
+        assert list(_cluster_labels(x, np.abs(x))) == [0, 1, 2, 3]
+        assert list(_cluster_labels(x, np.full(4, 1e7))) == [0, 0, 0, 1]
+
+    @pytest.mark.parametrize("a, t", [(-3.0, 1e7 + 0.1), (-3.0, 1e9 / 7), (-0.7, 1e9 / 7)])
+    def test_large_real_shift_is_accepted(self, a, t):
+        # x1 = -alpha(x2) and mean L2 = t_i + a t_j cancels to near 0 with
+        # the rounding error of t, far above KEY_TOL at |t| >= 1e7
+        inst = standard_instance(a=a, m=0.3, m_p=-0.15, x2=(t, 0, None))
+        assert joint_law_residual(inst.mu1, inst.mu2, inst.alpha) <= 1e-9
+        dec = decompose(inst.mu1, inst.mu2, inst.alpha)
+        assert dec.reconstruction_error <= 1e-9
+
+    def test_worst_names_the_unmatched_component(self, x3):
+        A = neg_alpha(x3, -2.0)
+        mu1 = dirac(x3.point(0.3, 0, (0,)))
+        mu2 = dirac(x3.point(0.7, 1, (2,)))
+        rep = joint_law_report(mu1, mu2, A)
+        assert rep.residual == 2.0
+        w = rep.worst
+        assert abs(w.coefficient) == 1.0
+        assert (w.n, w.g1) == (1, (2,))
+        # L2 = 0.3 - 2 * 0.7 at g = 0 + 2 * 2, or its reflection
+        assert w.mean[0] == pytest.approx(1.0)
+        assert (w.mean[1], w.g2) in ((pytest.approx(-1.1), (1,)), (pytest.approx(1.1), (2,)))
+
+    @pytest.mark.parametrize(
+        "term, other",
+        [
+            ((1.0, 0.0, 1e308, 0, (0,)), (1.0, 0.0, 0.0, 0, (0,))),  # key spread overflows
+            ((1e200, 0.0, 0.0, 0, (0,)), (1e200, 0.0, 0.0, 0, (0,))),  # c1 * c2 overflows
+        ],
+    )
+    def test_non_finite_raises_without_warning(self, x3, term, other):
+        mu1 = AtomicSignedMeasure.from_terms(x3, [term])
+        mu2 = AtomicSignedMeasure.from_terms(x3, [other])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="not finite"):
+                joint_law_report(mu1, mu2, neg_alpha(x3, -2.0))
+
+    def test_group_mismatch_rejected(self, x3):
+        other = AmbientGroup(FiniteAbelianGroup((5,)))
+        with pytest.raises(ValueError):
+            joint_law_residual(dirac(other.zero_point()), dirac(x3.zero_point()), neg_alpha(x3))
