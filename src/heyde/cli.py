@@ -115,7 +115,7 @@ def _parse_measure(group: AmbientGroup, spec: object) -> AtomicSignedMeasure:
 
 
 def _format_json(value, indent: int = 0) -> str:
-    """Deterministic JSON with floats at 17 significant digits."""
+    """Deterministic JSON; floats at 17 significant digits, integral ones with ".0"."""
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if isinstance(value, dict):
@@ -136,7 +136,8 @@ def _format_json(value, indent: int = 0) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        return f"{float(value):.17g}"
+        text = f"{float(value):.17g}"
+        return text + ".0" if text.lstrip("-").isdigit() else text
     return json.dumps(value)
 
 

@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .ambient import AmbientGroup, XAutomorphism, XPoint
-from .finite_abelian import GroupAutomorphism, GroupElement, kernel_of_I_plus, pairing
+from .finite_abelian import GroupAutomorphism, GroupElement, kernel_of_I_plus
 from .measures import (
     AtomicSignedMeasure,
     char_values,
@@ -27,7 +27,7 @@ from .measures import (
     order_two_measure,
     two_term_bound,
 )
-from .symmetry import VANISH_TOL, char_sup_distance, delta_relation, joint_law_report
+from .symmetry import _parity_sums, delta_relation, joint_law_report
 from .theta import (
     PiMeasure,
     ThetaParams,
@@ -64,9 +64,12 @@ OMEGA1_FROM_OMEGA2 = "omega1_eq_omega2_conv_vartheta"
 OMEGA2_FROM_OMEGA1 = "omega2_eq_omega1_conv_vartheta"
 
 # total mass must be 1 within MASS_TOL; in decompose, an exponential profile
-# of the R x Z(2) marginal with weight at most WEIGHT_TOL counts as absent
+# of the R x Z(2) marginal with weight at most WEIGHT_TOL counts as absent;
+# an omega characteristic value of modulus below VANISH_TOL counts as 0
+# (factor_exchange refuses such an omega, rigidity_decision flags it)
 MASS_TOL = 1e-9
 WEIGHT_TOL = 1e-12
+VANISH_TOL = 1e-10
 
 
 class InfeasibleSpec(ValueError):
@@ -276,6 +279,9 @@ class Decomposition:
     residual is the gate's joint-law residual: the l1 norm of the
     coefficients of law(L1, L2) - law(L1, -L2), an upper bound on the
     symmetry identity's deviation over the whole dual.
+    reconstruction_error is the largest over j of the sum over (sigma,
+    shift, g) keys of max(|even gap|, |odd gap|) between rebuilt and mu_j,
+    a bound on their characteristic functions' gap over the whole dual.
     """
 
     branch: str
@@ -348,45 +354,6 @@ def _real_profile(mu: AtomicSignedMeasure, label: str) -> ThetaParams:
         raise DecompositionError(f"{label}: {exc}") from exc
 
 
-def _finite_marginal(mu: AtomicSignedMeasure) -> AtomicSignedMeasure:
-    """Pushforward onto Z(2) x G: coefficients summed per finite coset."""
-    return AtomicSignedMeasure.from_terms(
-        mu.group, [(t.c, 0.0, 0.0, t.m, t.g) for t in mu.terms]
-    )
-
-
-def _kernel_alignment(
-    omega1: AtomicSignedMeasure,
-    omega2: AtomicSignedMeasure,
-    kernel: Sequence[GroupElement],
-    tol: float,
-) -> GroupElement:
-    """Find dk in K with char(omega1 * E_dk) matching char(omega2) on n = 0.
-
-    The coset representatives are chosen per measure, so the two omegas can
-    disagree by a K-translation; the even dual slice determines it.
-    """
-    G = omega1.group.G
-    coords = G.all_coords()
-    even = np.zeros(G.order, dtype=np.int64)
-    c1 = char_values(omega1, 0.0, even, coords)[0]
-    c2 = char_values(omega2, 0.0, even, coords)[0]
-    if min(np.abs(c1).min(), np.abs(c2).min()) < VANISH_TOL:
-        raise DecompositionError(
-            "vanishing characteristic function on the even dual slice; "
-            "cannot align the K-supported factors"
-        )
-    # mismatch of each k in K: max over h of |(k, h) - c2(h)/c1(h)|
-    err = np.abs(pairing(G, [k.coords for k in kernel], coords) - c2 / c1).max(axis=1)
-    best = int(np.argmin(err))
-    if err[best] > math.sqrt(tol):
-        raise DecompositionError(
-            "no K-translation aligns the two omega factors "
-            f"(best mismatch {err[best]:.3e})"
-        )
-    return kernel[best]
-
-
 def _factor(
     reduced: Sequence[AtomicSignedMeasure], a: float, tol: float
 ) -> tuple[tuple, tuple, tuple, tuple]:
@@ -422,7 +389,9 @@ def _factor(
         # and the leftover scalar sign/rho moves into omega as an order-2
         # signed factor, keeping the product exactly equal to mu
         pi = PiMeasure(sign / rho)
-        omega = _finite_marginal(mu_red).convolve(pi.to_measure(group))
+        # pushforward onto Z(2) x G: coefficients summed per finite coset
+        marginal = [(t.c, 0.0, 0.0, t.m, t.g) for t in mu_red.terms]
+        omega = AtomicSignedMeasure.from_terms(group, marginal).convolve(pi.to_measure(group))
         verdict = is_distribution(omega)
         if verdict.is_no:
             raise DecompositionError(
@@ -457,8 +426,9 @@ def decompose(
     (pushing the remainder into omega through an order-2 signed factor)
     and checks the cross constraints; for a = -1 there is no gamma factor
     and omega_j is the reduced mu_j.  Then the omegas are aligned by a
-    K-translation, linked by an order-2 measure, and the reconstruction is
-    checked against mu1 and mu2.
+    K-translation and linked by an order-2 measure (delta_relation, on
+    coefficient tables), and the reconstruction is checked against mu1 and
+    mu2 by the same tables.  Every step compares coefficients within tol.
     """
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tol must be finite and >= 0, got {tol}")
@@ -494,20 +464,26 @@ def decompose(
         branch = BRANCH_GENERIC
         gamma, (omega1, omega2), kappa_raw, rho = _factor(reduced, alpha.a, tol)
 
-    dk = _kernel_alignment(omega1, omega2, kernel, tol)
+    # the omegas' coset representatives can differ by a K-translation dk;
+    # one that works moves a point of omega1 onto omega2's heaviest point of
+    # G and matches its mass within tol
+    mass1, mass2 = {}, {}
+    for w, mass in ((omega1, mass1), (omega2, mass2)):
+        for t in w.terms:
+            mass[t.g] = mass.get(t.g, 0.0) + t.c
+    heavy = max(mass2, key=lambda g: abs(mass2[g]))
+    fits = [heavy - g for g, c in mass1.items() if abs(c - mass2[heavy]) <= tol]
+    for dk in sorted(fits, key=lambda dk: not dk.is_zero):
+        rel = delta_relation(omega1, omega2, tol, dk)
+        if rel.holds:
+            break
+    else:
+        raise DecompositionError(
+            "no K-translation links the two omega factors by an order-2 convolution"
+        )
     if not dk.is_zero:
         omega1 = omega1.shifted(XPoint(group, 0.0, 0, dk))
         flags.append("k_alignment_applied")
-    try:
-        rel = delta_relation(omega1, omega2, tol=max(tol, 1e-11))
-    except ValueError as exc:
-        raise DecompositionError(
-            f"cannot link the two omega factors by an order-2 convolution: {exc}"
-        ) from exc
-    if not rel.holds:
-        raise DecompositionError(
-            "the two omega factors are not linked by an order-2 convolution"
-        )
     if rel.branch == "tau1_eq_tau2_conv_delta":
         direction, other = OMEGA1_FROM_OMEGA2, OMEGA2_FROM_OMEGA1
     else:
@@ -519,7 +495,8 @@ def decompose(
     rec_err = 0.0
     for j, mu in enumerate((mu1, mu2)):
         rec = omega[j] if gamma is None else theta_to_measure(gamma[j], group).convolve(omega[j])
-        rec_err = max(rec_err, char_sup_distance(rec.shifted(shift[j]), mu))
+        sums = _parity_sums(rec.shifted(shift[j]), mu)
+        rec_err = max(rec_err, float(np.abs(sums[:, :2] - sums[:, 2:]).max(axis=1).sum()))
     if rec_err > tol:
         raise DecompositionError(f"reconstruction error {rec_err:.3e} exceeds tolerance")
     return Decomposition(
@@ -631,16 +608,11 @@ class RigidityResult:
         }
 
 
-def _parity_pairs(
-    omega: AtomicSignedMeasure,
-) -> dict[tuple[int, ...], tuple[float, float]]:
-    pairs: dict[tuple[int, ...], list[float]] = {}
-    for t in omega.terms:
-        if t.atom.sigma != 0.0 or t.atom.shift != 0.0:
-            raise ValueError("omega must be supported on the finite part")
-        slot = pairs.setdefault(t.g.coords, [0.0, 0.0])
-        slot[t.m % 2] += t.c
-    return {g: (a_w, b_w) for g, (a_w, b_w) in pairs.items()}
+def _parity_pairs(omega: AtomicSignedMeasure) -> dict[tuple[int, ...], tuple[float, float]]:
+    if not omega.is_finite_supported:
+        raise ValueError("omega must be supported on the finite part")
+    mass = omega.finite_masses()
+    return {g: (mass.get((0, g), 0.0), mass.get((1, g), 0.0)) for _, g in mass}
 
 
 def rigidity_decision(

@@ -24,8 +24,8 @@ That is a documented tolerance, not float rounding.
 The module also evaluates the identity on grids (continuous dual
 coordinates sampled, finite ones exhausted), by Monte Carlo on sampled
 variables, and exactly for measures supported on the finite part, and it
-decides the order-2 convolution relation between two finite-part
-distributions.
+decides the order-2 convolution relation between two measures on
+coefficient tables like the joint law's.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from .ambient import AmbientGroup, XAutomorphism, YPoint
-from .finite_abelian import FiniteAbelianGroup, GroupAutomorphism, pairing_phase
+from .finite_abelian import FiniteAbelianGroup, GroupAutomorphism, GroupElement, pairing_phase
 from .measures import AtomicSignedMeasure, char_values, order_two_measure, sample_arrays
 
 __all__ = [
@@ -56,10 +56,8 @@ __all__ = [
     "DeltaRelation",
     "delta_relation",
     "char_sup_distance",
-    "ratio_probe_scale",
 ]
 
-VANISH_TOL = 1e-10
 KEY_TOL = 1e-9
 
 
@@ -73,19 +71,6 @@ def default_s_scale(*measures: AtomicSignedMeasure) -> float:
     if not sigmas:
         return 10.0
     return 5.0 / math.sqrt(min(sigmas))
-
-
-def ratio_probe_scale(*measures: AtomicSignedMeasure) -> float:
-    """Half-width for probes feeding characteristic-function ratios.
-
-    3/sqrt(max sigma) keeps every Gaussian factor at exp(-9) or larger, so
-    ratios stay far from the underflow regime while still discriminating
-    mismatched variances and shifts.
-    """
-    sigmas = _gaussian_sigmas(*measures)
-    if not sigmas:
-        return 10.0
-    return 3.0 / math.sqrt(max(sigmas))
 
 
 @dataclass(frozen=True)
@@ -140,6 +125,18 @@ def _cluster_labels(x: np.ndarray, size: np.ndarray) -> np.ndarray:
     labels = np.empty(len(x), dtype=np.int64)
     labels[order] = np.concatenate(([0], np.cumsum(np.diff(v) > KEY_TOL * scale)))
     return labels
+
+
+def _sum_by_key(real, size, finite, coef) -> tuple[np.ndarray, np.ndarray]:
+    """Per key, its first row and the sums of coef over its rows; a key is a
+    row of real (columns clustered with operand sizes size) and of finite."""
+    labels = np.column_stack([_cluster_labels(x, w) for x, w in zip(real.T, size.T)])
+    _, first, inverse = np.unique(
+        np.hstack([labels, finite]), axis=0, return_index=True, return_inverse=True
+    )
+    sums = np.zeros((len(first),) + coef.shape[1:])
+    np.add.at(sums, inverse.ravel(), coef)
+    return first, sums
 
 
 def _real_keys(s1, s2, t1, t2, a: float) -> np.ndarray:
@@ -199,11 +196,7 @@ def joint_law_report(
         coef = np.multiply.outer(c1, c2).ravel()
         coef = np.concatenate([coef, -coef])
         spread = real.max(axis=0) - real.min(axis=0)
-        labels = np.column_stack([_cluster_labels(x, w) for x, w in zip(real.T, size.T)])
-        _, first, inverse = np.unique(
-            np.hstack([labels, finite]), axis=0, return_index=True, return_inverse=True
-        )
-        sums = np.bincount(inverse.ravel(), weights=coef)
+        first, sums = _sum_by_key(real, size, finite, coef)
         residual = float(np.abs(sums).sum())
     if not np.isfinite(spread).all():
         residual = math.nan  # keys beyond float range cannot be compared
@@ -481,50 +474,55 @@ class DeltaRelation:
         return self.branch != "neither"
 
 
+def _parity_sums(tau1, tau2, dk: GroupElement | None = None) -> np.ndarray:
+    """Columns even1, odd1, even2, odd2: per (sigma, shift, g) key of either
+    measure, real parts clustered under KEY_TOL, the m = 0 coefficient plus
+    (even) or minus (odd) the m = 1 one, of tau1 moved by dk in G and of
+    tau2.  On dual parity 0 (1) the characteristic function is the even
+    (odd) sums times factors of modulus at most 1."""
+    c1, s1, t1, m1, g1 = _term_arrays(tau1)
+    c2, s2, t2, m2, g2 = _term_arrays(tau2)
+    if dk is not None:
+        g1 = (g1 + dk.coords) % np.array(tau1.group.G.cyclic_orders)
+    real = np.column_stack([np.concatenate([s1, s2]), np.concatenate([t1, t2])])
+    p1, p2 = (np.column_stack([c, np.where(m == 0, c, -c)]) for c, m in ((c1, m1), (c2, m2)))
+    coef = np.block([[p1, np.zeros_like(p1)], [np.zeros_like(p2), p2]])
+    return _sum_by_key(real, np.abs(real), np.concatenate([g1, g2]), coef)[1]
+
+
 def delta_relation(
     tau1: AtomicSignedMeasure,
     tau2: AtomicSignedMeasure,
     tol: float = 1e-9,
-    s_values: Sequence[float] | None = None,
+    dk: GroupElement | None = None,
 ) -> DeltaRelation:
-    """Decide whether tau1 = tau2 * delta or tau2 = tau1 * delta.
+    """Decide whether tau1 moved by dk in G is tau2 * delta, or tau2 is it
+    convolved with delta.
 
-    delta ranges over distributions on {0, p} with p the order-2 point.  The
-    characteristic ratio r = char(tau1)/char(tau2) must be 1 wherever the
-    dual pairs trivially with p and a real constant on the complement; the
-    constant (or its reciprocal) is the delta parameter.  Ties at |d| = 1
-    report the first branch and are flagged.
+    delta = ((1+d)/2) E_0 + ((1-d)/2) E_p, p the order-2 point, keeps each
+    key's even sum and multiplies its odd sum by d (see _parity_sums).  So
+    the even sums must agree within tol in l1, and for the odd sums x of
+    one side and y of the other, d = <x, y>/<y, y> (1 when y vanishes) must
+    have |d| <= 1 + tol and sum |x - d y| <= tol.  Ties at |d| = 1 report
+    the first branch and are flagged.
     """
     if tau1.group != tau2.group:
         raise ValueError("measures live on different groups")
-    group = tau1.group
-    if s_values is None:
-        if tau1.is_finite_supported and tau2.is_finite_supported:
-            s_values = [0.0]
-        else:
-            scale = ratio_probe_scale(tau1, tau2)
-            s_values = list(np.linspace(-scale, scale, 7))
-    s = np.asarray(s_values, dtype=float)
-    c1 = char_values(tau1, s)
-    c2 = char_values(tau2, s)
-    if min(np.abs(c1).min(), np.abs(c2).min()) < VANISH_TOL:
-        raise ValueError("vanishing characteristic function on a probe")
-    # columns run over n = 0 then n = 1, each over the whole of H
-    ratios = c1 / c2
-    H = group.G.order
-    r0 = ratios[:, :H].ravel()
-    r1 = ratios[:, H:].ravel()
-    if np.abs(r0 - 1.0).max() > tol:
+    even1, odd1, even2, odd2 = _parity_sums(tau1, tau2, dk).T
+    if np.abs(even1 - even2).sum() > tol:
         return DeltaRelation("neither")
-    d_c = complex(r1.mean())
-    if np.abs(r1 - d_c).max() > tol or abs(d_c.imag) > tol:
+    for branch, x, y in (
+        ("tau1_eq_tau2_conv_delta", odd1, odd2),
+        ("tau2_eq_tau1_conv_delta", odd2, odd1),
+    ):
+        yy = float(y @ y)
+        d = float(x @ y) / yy if yy > 0.0 else 1.0
+        if abs(d) <= 1.0 + tol and np.abs(x - d * y).sum() <= tol:
+            break
+    else:
         return DeltaRelation("neither")
-    d = float(d_c.real)
     flags: tuple[str, ...] = ()
     if abs(abs(d) - 1.0) <= tol:
         flags = ("both_branches_fit",)
         d = math.copysign(1.0, d)
-    if abs(d) <= 1.0:
-        return DeltaRelation("tau1_eq_tau2_conv_delta", d, order_two_measure(group, d), flags)
-    d_rec = 1.0 / d
-    return DeltaRelation("tau2_eq_tau1_conv_delta", d_rec, order_two_measure(group, d_rec), flags)
+    return DeltaRelation(branch, d, order_two_measure(tau1.group, d), flags)

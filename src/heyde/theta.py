@@ -130,8 +130,9 @@ def theta_to_measure(p: ThetaParams, group: AmbientGroup) -> AtomicSignedMeasure
 def measure_to_theta(mu: AtomicSignedMeasure, tol: float = 1e-9) -> ThetaParams:
     """Recover parameters from a measure supported on R x Z(2) x {0}.
 
-    Requires the restricted characteristic function to be a single
-    exponential for each parity of the Z(2) dual coordinate.
+    The restricted characteristic function must be one exponential of
+    weight 1 on dual parity 0 and at most one on parity 1; none there is
+    the kappa = 0 member (sigma, sigma, m, m, 0).
     """
     for t in mu.terms:
         if not t.g.is_zero:
@@ -148,14 +149,14 @@ def measure_to_theta(mu: AtomicSignedMeasure, tol: float = 1e-9) -> ThetaParams:
         raise ThetaShapeError(
             f"dual parity 0 carries {len(surviving[0])} exponentials, need exactly 1"
         )
-    if len(surviving[1]) != 1:
+    if len(surviving[1]) > 1:
         raise ThetaShapeError(
-            f"dual parity 1 carries {len(surviving[1])} exponentials, need exactly 1"
+            f"dual parity 1 carries {len(surviving[1])} exponentials, need at most 1"
         )
     (sigma, m), w0 = surviving[0][0]
-    (sigma_p, m_p), kappa = surviving[1][0]
     if abs(w0 - 1.0) > tol:
         raise ThetaShapeError(f"parity-0 exponential has weight {w0}, need 1")
+    (sigma_p, m_p), kappa = surviving[1][0] if surviving[1] else ((sigma, m), 0.0)
     return ThetaParams(sigma, sigma_p, m, m_p, kappa)
 
 

@@ -151,8 +151,8 @@ class TestCheckPipeline:
         assert "diagnostics" in json.loads(out)
 
 
-# valid instances whose omega characteristic function vanishes: decompose
-# exits 1 with diagnostics, not 2
+# valid instances whose omega characteristic function vanishes somewhere:
+# decompose factors them like any other valid pair
 VANISHING_OMEGA2 = {
     "odd_slice": [
         {"c": 0.5, "sigma": 0.0, "shift": 0.0, "m": 0, "g": [0]},
@@ -180,9 +180,10 @@ def test_decompose_vanishing_omega_exits_one(tmp_path, capsys, omega_key):
     code, out = run(capsys, ["check", payload_path])
     assert code == EXIT_OK
     code, out = run(capsys, ["decompose", payload_path])
-    assert code == EXIT_VIOLATED
+    assert code == EXIT_OK
     report = json.loads(out)
-    assert report["error"] == "hypothesis violated" and report["diagnostics"]
+    assert report["branch"] == "a_minus_one"
+    assert report["reconstruction_error"] <= 1e-10
 
 
 class TestTheta:
@@ -367,6 +368,26 @@ class TestFormatting:
 
         walk(report)
         assert '"tol": 0.10000000000000001' in text
+
+    def test_integral_floats_parse_as_floats(self, tmp_path, capsys):
+        # unmatched point masses at t = 3 and t = 0: residual 2.0, worst
+        # coefficient +-1.0 and worst mean (3.0, +-3.0) are integral floats
+        case = {
+            "group": GROUP,
+            "alpha": ALPHA,
+            "mu1": {"dirac": {"t": 3.0, "m": 0, "g": [0]}},
+            "mu2": {"dirac": {"t": 0.0, "m": 0, "g": [1]}},
+        }
+        path = write_case(tmp_path, case)
+        code, out = run(capsys, ["check", path])
+        assert code == EXIT_VIOLATED
+        report = json.loads(out)
+        worst = report["worst"]
+        floats = [report["residual"], abs(worst["coefficient"])] + [abs(v) for v in worst["mean"]]
+        assert floats == [2.0, 1.0, 3.0, 3.0]
+        assert all(type(v) is float for v in floats + worst["mean"])
+        code, out = run(capsys, ["check", path, "--smax", "2"])
+        assert type(json.loads(out)["grid"]["smax"]) is float
 
 
 class TestNonFiniteInput:

@@ -32,9 +32,10 @@ from heyde import (
     kernel_of_I_plus,
     mc_symmetry_test,
     negation_automorphism,
-    ratio_probe_scale,
     scalar_automorphism,
+    theta_to_measure,
 )
+from heyde.measures import order_two_measure
 from heyde.symmetry import KEY_TOL, _cluster_labels
 from conftest import perturb_coefficient, standard_instance
 
@@ -123,16 +124,9 @@ class TestScales:
         assert default_s_scale(narrow) == pytest.approx(4 * default_s_scale(wide))
         assert default_s_scale(narrow, wide) == pytest.approx(default_s_scale(narrow))
 
-    def test_ratio_scale_tracks_largest_sigma(self, x3):
-        a = AtomicSignedMeasure.from_terms(x3, [(1.0, 1.0, 0.0, 0, (0,))])
-        b = AtomicSignedMeasure.from_terms(x3, [(1.0, 9.0, 0.0, 0, (0,))])
-        assert ratio_probe_scale(a, b) == pytest.approx(ratio_probe_scale(b))
-        assert ratio_probe_scale(a) == pytest.approx(3.0)
-
     def test_finite_only_defaults(self, x3):
         mu = dirac(x3.zero_point())
         assert default_s_scale(mu) == 10.0
-        assert ratio_probe_scale(mu) == 10.0
 
 
 class TestMonteCarlo:
@@ -295,11 +289,42 @@ class TestDeltaRelation:
         assert "both_branches_fit" in rel.flags
 
     def test_vanishing_char_raises(self, x3):
+        # the odd sums vanish, so every delta fits and d = 1 is reported
         tau2 = AtomicSignedMeasure.from_terms(
             x3, [(0.5, 0.0, 0.0, 0, (0,)), (0.5, 0.0, 0.0, 1, (0,))]
         )
-        with pytest.raises(ValueError):
-            delta_relation(tau2, tau2)
+        rel = delta_relation(tau2, tau2)
+        assert rel.holds
+        assert rel.d == 1.0
+        assert "both_branches_fit" in rel.flags
+
+    @pytest.mark.parametrize("sigma", [None, 0.8])
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("d", [-1.0, -0.6, 0.0, 0.4, 1.0])
+    def test_recovers_d(self, x3, d, reverse, sigma):
+        base = self.base_tau(x3, seed=27, sigma=sigma)
+        moved = convolve(base, order_two_measure(x3, d))
+        tau1, tau2 = (base, moved) if reverse else (moved, base)
+        rel = delta_relation(tau1, tau2)
+        assert rel.d == pytest.approx(d, abs=1e-12)
+        if abs(d) == 1.0:
+            # either side is the other moved by delta: the first branch wins
+            assert rel.branch == "tau1_eq_tau2_conv_delta"
+            assert "both_branches_fit" in rel.flags
+        else:
+            want = "tau2_eq_tau1_conv_delta" if reverse else "tau1_eq_tau2_conv_delta"
+            assert rel.branch == want and not rel.flags
+        src = tau1 if reverse else tau2
+        assert char_sup_distance(convolve(src, rel.delta), moved) < 1e-12
+
+    def test_moves_tau1_by_dk(self, x3):
+        tau2 = self.base_tau(x3, seed=28)
+        dk = x3.G.element((1,))
+        tau1 = convolve(tau2, order_two_measure(x3, 0.3)).shifted(x3.point(0.0, 0, (2,)))
+        assert not delta_relation(tau1, tau2).holds
+        rel = delta_relation(tau1, tau2, dk=dk)
+        assert rel.branch == "tau1_eq_tau2_conv_delta"
+        assert rel.d == pytest.approx(0.3, abs=1e-12)
 
     def test_continuous_parts_supported(self, x3):
         tau2 = self.base_tau(x3, seed=26, sigma=0.8)
@@ -383,6 +408,21 @@ class TestJointLaw:
                 grid = equation_residual(inst.mu1, mu2, inst.alpha)
                 assert (joint <= 1e-9) == (grid <= 1e-9) == (mu2 is inst.mu2), (a, joint, grid)
 
+    @pytest.mark.parametrize("group", SWEEP_GROUPS, ids=lambda g: "x".join(map(str, g[0])))
+    def test_sweep_reconstruction_error_bounds_char_distance(self, group):
+        # the coefficient distance bounds the characteristic-function gap
+        # over the whole dual, so also over char_sup_distance's grid
+        for a in self.SWEEP_A:
+            inst = self.W.draw_instance(random.Random(f"sweep:{group}:{a}"), group, a=a)
+            dec = decompose(inst.mu1, inst.mu2, inst.alpha)
+            X = inst.mu1.group
+            for j, mu in enumerate((inst.mu1, inst.mu2)):
+                rec = dec.omega[j]
+                if dec.gamma is not None:
+                    rec = theta_to_measure(dec.gamma[j], X).convolve(rec)
+                gap = char_sup_distance(rec.shifted(dec.shift[j]), mu)
+                assert dec.reconstruction_error >= gap - 1e-15, (a, j)
+
     def test_iid_pair_under_full_negation_is_exact(self, x3):
         # (L1, -L2) is (L1, L2) with the two factors swapped, so a component
         # with cov(L1, L2) = s_i - s_j != 0 cancels only against its swap
@@ -416,7 +456,9 @@ class TestJointLaw:
         assert list(_cluster_labels(x, np.abs(x))) == [0, 1, 2, 3]
         assert list(_cluster_labels(x, np.full(4, 1e7))) == [0, 0, 0, 1]
 
-    @pytest.mark.parametrize("a, t", [(-3.0, 1e7 + 0.1), (-3.0, 1e9 / 7), (-0.7, 1e9 / 7)])
+    @pytest.mark.parametrize(
+        "a, t", [(-3.0, 1e7 + 0.1), (-3.0, 1e9 / 7), (-0.7, 1e9 / 7), (-1.0, 1e7)]
+    )
     def test_large_real_shift_is_accepted(self, a, t):
         # x1 = -alpha(x2) and mean L2 = t_i + a t_j cancels to near 0 with
         # the rounding error of t, far above KEY_TOL at |t| >= 1e7

@@ -111,6 +111,12 @@ class TestMeasureBridge:
         mu, nu = theta_to_measure(p, x3), theta_to_measure(q, x3)
         assert measures_close(mu, nu, tol=1e-15)
 
+    def test_roundtrip_kappa_zero(self, x3):
+        # the parity-1 slice is empty; it reads as the kappa = 0 member
+        p = ThetaParams(1.0, 1.0, 0.2, 0.2, 0.0)
+        assert is_in_theta(p)
+        assert measure_to_theta(theta_to_measure(p, x3)) == p
+
     def test_shape_error_off_zero_slot(self, x3):
         mu = theta_to_measure(ThetaParams(1.0, 0.5, 0.0, 0.0, 0.3), x3)
         shifted = mu.shifted(x3.point(0.0, 0, (1,)))
