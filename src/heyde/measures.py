@@ -47,7 +47,11 @@ __all__ = [
     "measures_close",
 ]
 
+# canonical form drops coefficients of modulus at most DROP_TOL; a density,
+# point mass or class margin within NONNEG_TOL below 0 counts as the
+# nonnegativity boundary, not as negative
 DROP_TOL = 1e-14
+NONNEG_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -139,9 +143,6 @@ class AtomicSignedMeasure:
 
     def total_mass(self) -> float:
         return sum(t.c for t in self.terms)
-
-    def char(self, y: YPoint) -> complex:
-        return char_fn(self, y)
 
     def cosets(self) -> dict[tuple[int, tuple[int, ...]], list[Term]]:
         """Terms grouped by finite coordinates (m, g)."""
@@ -368,7 +369,7 @@ def _coset_continuous_min(cont: list[Term], tol: float) -> tuple[float, float]:
     return t_min, v_min
 
 
-def is_distribution(mu: AtomicSignedMeasure, tol: float = 1e-12) -> DistributionVerdict:
+def is_distribution(mu: AtomicSignedMeasure, tol: float = NONNEG_TOL) -> DistributionVerdict:
     """Decide nonnegativity of the measure, coset by coset.
 
     Point masses must be >= 0; each coset's continuous density must be

@@ -21,22 +21,15 @@ import numpy as np
 from .ambient import AmbientGroup, XAutomorphism, XPoint
 from .finite_abelian import GroupAutomorphism, GroupElement, kernel_of_I_plus
 from .measures import (
+    NONNEG_TOL,
     AtomicSignedMeasure,
     char_values,
     is_distribution,
     order_two_measure,
     two_term_bound,
 )
-from .symmetry import _parity_sums, delta_relation, joint_law_report
-from .theta import (
-    PiMeasure,
-    ThetaParams,
-    ThetaShapeError,
-    is_in_theta,
-    measure_to_theta,
-    rho_extremal,
-    theta_to_measure,
-)
+from .symmetry import KEY_TOL, _parity_sums, delta_relation, joint_law_report
+from .theta import PiMeasure, ThetaParams, is_in_theta, rho_extremal, theta_to_measure
 
 __all__ = [
     "InfeasibleSpec",
@@ -63,12 +56,10 @@ BRANCH_MINUS_ONE = "a_minus_one"
 OMEGA1_FROM_OMEGA2 = "omega1_eq_omega2_conv_vartheta"
 OMEGA2_FROM_OMEGA1 = "omega2_eq_omega1_conv_vartheta"
 
-# total mass must be 1 within MASS_TOL; in decompose, an exponential profile
-# of the R x Z(2) marginal with weight at most WEIGHT_TOL counts as absent;
-# an omega characteristic value of modulus below VANISH_TOL counts as 0
-# (factor_exchange refuses such an omega, rigidity_decision flags it)
+# total mass must be 1 within MASS_TOL; an omega characteristic value of
+# modulus below VANISH_TOL counts as 0 (factor_exchange refuses such an
+# omega, rigidity_decision flags it)
 MASS_TOL = 1e-9
-WEIGHT_TOL = 1e-12
 VANISH_TOL = 1e-10
 
 
@@ -242,7 +233,7 @@ def generate_instance(spec: InstanceSpec) -> GeneratedInstance:
                     f"omega2 atom at g={term.g.coords} is outside K = Ker(I + alpha_G)"
                 )
                 break
-        if abs(spec.omega2.total_mass() - 1.0) > 1e-12:
+        if abs(spec.omega2.total_mass() - 1.0) > MASS_TOL:
             failures.append("omega2 total mass is not 1")
         elif spec.omega2.terms and is_distribution(spec.omega2).is_no:
             failures.append("omega2 is not a distribution")
@@ -337,76 +328,76 @@ def _coset_representative(
     return min((base + k for k in kernel), key=lambda g: g.coords)
 
 
-def _real_profile(mu: AtomicSignedMeasure, label: str) -> ThetaParams:
-    """The two exponential profiles of mu's R x Z(2) marginal, kappa raw.
-
-    The profiles are the characteristic function at the trivial character
-    for n = 0 and n = 1; each must be a single exponential, the even one of
-    unit mass.
-    """
-    zero = mu.group.G.zero()
-    marginal = AtomicSignedMeasure.from_terms(
-        mu.group, [(t.c, t.atom.sigma, t.atom.shift, t.m, zero) for t in mu.terms]
-    )
-    try:
-        return measure_to_theta(marginal, tol=WEIGHT_TOL)
-    except ThetaShapeError as exc:
-        raise DecompositionError(f"{label}: {exc}") from exc
-
-
 def _factor(
     reduced: Sequence[AtomicSignedMeasure], a: float, tol: float
 ) -> tuple[tuple, tuple, tuple, tuple]:
     """Split each reduced mu into an extremal gamma factor and omega on Z(2) x K.
 
-    Returns the pairs of gammas, omegas, raw odd-slice coefficients and
-    extremal bounds; the gammas must satisfy the cross constraints for a.
+    Read off mu's coefficient table (_parity_sums): the even sums beyond
+    tol must sit on one real atom (sigma, m), the odd sums beyond tol on at
+    most one (sigma', m'), where none or the same atom is the degenerate
+    class member with extremal bound rho = 1.  The gamma factor takes
+    kappa = sign * rho, sign that of kappa_raw, the odd sum over all keys;
+    omega keeps the even sum e_g and odd sum o_g * sign / rho per g.
+    Returns the pairs of gammas, omegas, kappa_raw and rho; the gammas must
+    satisfy the cross constraints for a, matched like the gate's real keys.
     """
     group = reduced[0].group
-    gammas: list[ThetaParams] = []
-    omegas: list[AtomicSignedMeasure] = []
-    kappas: list[float] = []
-    rhos: list[float] = []
+    factors = []
     for label, mu_red in zip(("mu1", "mu2"), reduced):
-        raw = _real_profile(mu_red, label)
-        degenerate = (raw.sigma_p, raw.m_p) == (raw.sigma, raw.m)
-        if degenerate:
+        keys, first, sums = _parity_sums(mu_red)
+        even, odd = sums.T
+        terms = [mu_red.terms[i] for i in first]
+        # a real atom is the pair of cluster labels of (sigma, shift)
+        atoms = [tuple(row) for row in keys[:, :2].tolist()]
+        on_even = {x for x, e in zip(atoms, even) if abs(e) > tol}
+        on_odd = {x for x, o in zip(atoms, odd) if abs(o) > tol}
+        if len(on_even) != 1 or len(on_odd) > 1:
+            raise DecompositionError(
+                f"{label}: even coefficients sit on {len(on_even)} real atoms "
+                f"(need 1) and odd ones on {len(on_odd)} (need at most 1)"
+            )
+        atom = atom_p = terms[atoms.index(*on_even)].atom
+        if on_odd <= on_even:
             rho = 1.0
         else:
-            if not (0.0 < raw.sigma_p < raw.sigma):
+            atom_p = terms[atoms.index(*on_odd)].atom
+            if not (0.0 < atom_p.sigma < atom.sigma):
                 raise DecompositionError(
-                    f"{label}: exponential profiles (sigma={raw.sigma}, "
-                    f"sigma'={raw.sigma_p}) violate the class ordering"
+                    f"{label}: exponential profiles (sigma={atom.sigma}, "
+                    f"sigma'={atom_p.sigma}) violate the class ordering"
                 )
-            rho = two_term_bound(raw.sigma, raw.m, raw.sigma_p, raw.m_p)
-        if abs(raw.kappa) > rho * (1.0 + 1e-9):
-            raise DecompositionError(
-                f"{label}: odd-slice coefficient {raw.kappa:.6g} exceeds the "
-                f"extremal bound {rho:.6g}; no distribution factorization exists"
-            )
-        sign = 1.0 if raw.kappa >= 0.0 else -1.0
-        # extremal normalization: the gamma factor takes kappa = rho * sign
-        # and the leftover scalar sign/rho moves into omega as an order-2
-        # signed factor, keeping the product exactly equal to mu
-        pi = PiMeasure(sign / rho)
-        # pushforward onto Z(2) x G: coefficients summed per finite coset
-        marginal = [(t.c, 0.0, 0.0, t.m, t.g) for t in mu_red.terms]
-        omega = AtomicSignedMeasure.from_terms(group, marginal).convolve(pi.to_measure(group))
+            rho = two_term_bound(atom.sigma, atom.shift, atom_p.sigma, atom_p.shift)
+            if rho == 0.0:  # the bound underflows: no odd coefficient fits under it
+                raise DecompositionError(f"{label}: the extremal bound underflows to 0")
+        kappa_raw = float(odd.sum())
+        sign = 1.0 if kappa_raw >= 0.0 else -1.0
+        # omega's odd sums are mu's over gamma's kappa = sign * rho, so
+        # gamma * omega has mu's coefficients
+        odd_w = odd * (sign / rho)
+        omega = AtomicSignedMeasure.from_terms(
+            group,
+            [
+                (w, 0.0, 0.0, n, t.g)
+                for n, col in enumerate((even + odd_w, even - odd_w))
+                for w, t in zip(col / 2.0, terms)
+            ],
+        )
         verdict = is_distribution(omega)
         if verdict.is_no:
             raise DecompositionError(
                 f"{label}: renormalized omega factor is not a distribution "
                 f"(min {verdict.min_value:.3e})"
             )
-        gammas.append(ThetaParams(raw.sigma, raw.sigma_p, raw.m, raw.m_p, rho * sign))
-        omegas.append(omega)
-        kappas.append(raw.kappa)
-        rhos.append(rho)
-    if not check_cross_constraints(gammas[0], gammas[1], a, tol=math.sqrt(tol)):
+        gamma = ThetaParams(atom.sigma, atom_p.sigma, atom.shift, atom_p.shift, rho * sign)
+        factors.append((gamma, omega, kappa_raw, rho))
+    (g1, g2), omegas, kappas, rhos = zip(*factors)
+    pairs = ((g1.sigma, g2.sigma), (g1.sigma_p, g2.sigma_p), (g1.m, g2.m), (g1.m_p, g2.m_p))
+    if any(abs(x1 + a * x2) > KEY_TOL * max(1.0, abs(x1) + abs(a) * abs(x2)) for x1, x2 in pairs):
         raise DecompositionError(
             f"recovered exponential parameters violate the cross constraints for a = {a}"
         )
-    return tuple(gammas), tuple(omegas), tuple(kappas), tuple(rhos)
+    return (g1, g2), omegas, kappas, rhos
 
 
 def decompose(
@@ -421,14 +412,14 @@ def decompose(
     symmetry equation must be at most tol (finite and >= 0, else
     ValueError).  Each mu is reduced to the canonical K-coset
     representative of its finite support.  The factor step is the only
-    branch-specific part: for a != -1 it reads the exponential profiles,
-    renormalizes the two-Gaussian factor to its extremal coefficient
-    (pushing the remainder into omega through an order-2 signed factor)
-    and checks the cross constraints; for a = -1 there is no gamma factor
-    and omega_j is the reduced mu_j.  Then the omegas are aligned by a
-    K-translation and linked by an order-2 measure (delta_relation, on
-    coefficient tables), and the reconstruction is checked against mu1 and
-    mu2 by the same tables.  Every step compares coefficients within tol.
+    branch-specific part: for a != -1 it reads the two-Gaussian factor off
+    each reduced mu's even and odd coefficient sums per (sigma, shift, g)
+    key, at its extremal coefficient, with the rest in omega (_factor);
+    for a = -1 there is no gamma factor and omega_j is the reduced mu_j.
+    Then the omegas are aligned by a K-translation and linked by an
+    order-2 measure (delta_relation), and the reconstruction is checked
+    against mu1 and mu2, all on the same coefficient tables.  Every step
+    compares coefficients within tol.
     """
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tol must be finite and >= 0, got {tol}")
@@ -495,7 +486,7 @@ def decompose(
     rec_err = 0.0
     for j, mu in enumerate((mu1, mu2)):
         rec = omega[j] if gamma is None else theta_to_measure(gamma[j], group).convolve(omega[j])
-        sums = _parity_sums(rec.shifted(shift[j]), mu)
+        sums = _parity_sums(rec.shifted(shift[j]), mu)[2]
         rec_err = max(rec_err, float(np.abs(sums[:, :2] - sums[:, 2:]).max(axis=1).sum()))
     if rec_err > tol:
         raise DecompositionError(f"reconstruction error {rec_err:.3e} exceeds tolerance")
@@ -615,9 +606,7 @@ def _parity_pairs(omega: AtomicSignedMeasure) -> dict[tuple[int, ...], tuple[flo
     return {g: (mass.get((0, g), 0.0), mass.get((1, g), 0.0)) for _, g in mass}
 
 
-def rigidity_decision(
-    gamma: ThetaParams, omega: AtomicSignedMeasure, rel_tol: float = 1e-12
-) -> RigidityResult:
+def rigidity_decision(gamma: ThetaParams, omega: AtomicSignedMeasure) -> RigidityResult:
     """Decide whether the (gamma, omega) factorization admits any exchange.
 
     Rigid exactly when |kappa| sits at the extremal bound AND some finite
@@ -641,8 +630,8 @@ def rigidity_decision(
     if _min_char_modulus(omega) < VANISH_TOL:
         flags.append("vanishing_characteristic_function")
 
-    extremal = abs(abs(kappa) - rho) <= rel_tol * rho
-    zero_pattern = any(min(p) <= 1e-15 and max(p) > 1e-12 for p in pairs.values())
+    extremal = abs(abs(kappa) - rho) <= NONNEG_TOL * rho
+    zero_pattern = any(min(p) <= 0.0 and max(p) > NONNEG_TOL for p in pairs.values())
     if extremal and zero_pattern:
         return RigidityResult(True, None, rho, kappa, tuple(flags))
 

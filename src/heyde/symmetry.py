@@ -127,16 +127,18 @@ def _cluster_labels(x: np.ndarray, size: np.ndarray) -> np.ndarray:
     return labels
 
 
-def _sum_by_key(real, size, finite, coef) -> tuple[np.ndarray, np.ndarray]:
-    """Per key, its first row and the sums of coef over its rows; a key is a
-    row of real (columns clustered with operand sizes size) and of finite."""
+def _sum_by_key(real, size, finite, coef) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per key, its row (the cluster labels of the real columns, then
+    finite), its first row of real and finite, and the sums of coef over
+    its rows; a key is a row of real (columns clustered with operand sizes
+    size) and of finite."""
     labels = np.column_stack([_cluster_labels(x, w) for x, w in zip(real.T, size.T)])
-    _, first, inverse = np.unique(
+    keys, first, inverse = np.unique(
         np.hstack([labels, finite]), axis=0, return_index=True, return_inverse=True
     )
     sums = np.zeros((len(first),) + coef.shape[1:])
     np.add.at(sums, inverse.ravel(), coef)
-    return first, sums
+    return keys, first, sums
 
 
 def _real_keys(s1, s2, t1, t2, a: float) -> np.ndarray:
@@ -196,7 +198,7 @@ def joint_law_report(
         coef = np.multiply.outer(c1, c2).ravel()
         coef = np.concatenate([coef, -coef])
         spread = real.max(axis=0) - real.min(axis=0)
-        first, sums = _sum_by_key(real, size, finite, coef)
+        _, first, sums = _sum_by_key(real, size, finite, coef)
         residual = float(np.abs(sums).sum())
     if not np.isfinite(spread).all():
         residual = math.nan  # keys beyond float range cannot be compared
@@ -474,20 +476,24 @@ class DeltaRelation:
         return self.branch != "neither"
 
 
-def _parity_sums(tau1, tau2, dk: GroupElement | None = None) -> np.ndarray:
-    """Columns even1, odd1, even2, odd2: per (sigma, shift, g) key of either
-    measure, real parts clustered under KEY_TOL, the m = 0 coefficient plus
-    (even) or minus (odd) the m = 1 one, of tau1 moved by dk in G and of
-    tau2.  On dual parity 0 (1) the characteristic function is the even
-    (odd) sums times factors of modulus at most 1."""
-    c1, s1, t1, m1, g1 = _term_arrays(tau1)
-    c2, s2, t2, m2, g2 = _term_arrays(tau2)
+def _parity_sums(*taus: AtomicSignedMeasure, dk: GroupElement | None = None):
+    """The coefficient table of taus per (sigma, shift, g) key of any of
+    them, real parts clustered under KEY_TOL.  Returns the key rows (sigma
+    and shift cluster labels, then g), each key's first term in the terms
+    of taus in turn, and columns even_j, odd_j per tau j: the m = 0
+    coefficient plus (even) or minus (odd) the m = 1 one, taus[0] moved by
+    dk in G.  On dual parity 0 (1) a tau's characteristic function is its
+    even (odd) sums times factors of modulus at most 1."""
+    arrays = [_term_arrays(tau) for tau in taus]
+    c, s, t, m, g = (np.concatenate(column) for column in zip(*arrays))
     if dk is not None:
-        g1 = (g1 + dk.coords) % np.array(tau1.group.G.cyclic_orders)
-    real = np.column_stack([np.concatenate([s1, s2]), np.concatenate([t1, t2])])
-    p1, p2 = (np.column_stack([c, np.where(m == 0, c, -c)]) for c, m in ((c1, m1), (c2, m2)))
-    coef = np.block([[p1, np.zeros_like(p1)], [np.zeros_like(p2), p2]])
-    return _sum_by_key(real, np.abs(real), np.concatenate([g1, g2]), coef)[1]
+        n0 = len(arrays[0][0])
+        g[:n0] = (g[:n0] + dk.coords) % np.array(taus[0].group.G.cyclic_orders)
+    owner = np.repeat(np.eye(len(taus)), [len(a[0]) for a in arrays], axis=0)
+    parity = np.column_stack([c, np.where(m == 0, c, -c)])
+    coef = (owner[:, :, None] * parity[:, None, :]).reshape(len(c), -1)
+    real = np.column_stack([s, t])
+    return _sum_by_key(real, np.abs(real), g, coef)
 
 
 def delta_relation(
@@ -508,7 +514,7 @@ def delta_relation(
     """
     if tau1.group != tau2.group:
         raise ValueError("measures live on different groups")
-    even1, odd1, even2, odd2 = _parity_sums(tau1, tau2, dk).T
+    even1, odd1, even2, odd2 = _parity_sums(tau1, tau2, dk=dk)[2].T
     if np.abs(even1 - even2).sum() > tol:
         return DeltaRelation("neither")
     for branch, x, y in (

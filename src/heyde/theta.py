@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 
 from .ambient import AmbientGroup
-from .measures import AtomicSignedMeasure, order_two_measure, two_term_bound
+from .measures import NONNEG_TOL, AtomicSignedMeasure, order_two_measure, two_term_bound
 
 __all__ = [
     "ThetaParams",
@@ -92,7 +92,7 @@ def is_in_theta(p: ThetaParams) -> bool:
     return False
 
 
-def theta_verdict(p: ThetaParams, tol: float = 1e-12) -> str:
+def theta_verdict(p: ThetaParams, tol: float = NONNEG_TOL) -> str:
     """Membership with a +-tol grace band: "inside" | "boundary" | "outside"."""
     ak = abs(p.kappa)
     if 0.0 < p.sigma_p < p.sigma:

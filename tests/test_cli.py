@@ -61,6 +61,18 @@ class TestGenerate:
         assert report["error"] == "infeasible spec"
         assert any("vartheta" in f for f in report["failures"])
 
+    def test_mass_within_mass_tol_is_accepted(self, tmp_path, capsys):
+        # total mass 0.9999999999: off by 1e-10, inside decompose's MASS_TOL
+        case = dict(GENERATE_CASE)
+        case["omega2"] = {
+            "terms": [
+                {"c": 0.3333333333, "sigma": 0.0, "shift": 0.0, "m": 0, "g": [g]}
+                for g in range(3)
+            ]
+        }
+        code, out = run(capsys, ["generate", write_case(tmp_path, case)])
+        assert code == EXIT_OK, out
+
     def test_deterministic_output(self, tmp_path, capsys):
         path = write_case(tmp_path, GENERATE_CASE)
         _, out1 = run(capsys, ["generate", path])
@@ -157,6 +169,10 @@ VANISHING_OMEGA2 = {
     "odd_slice": [
         {"c": 0.5, "sigma": 0.0, "shift": 0.0, "m": 0, "g": [0]},
         {"c": 0.5, "sigma": 0.0, "shift": 0.0, "m": 1, "g": [0]},
+    ],
+    "cancelling_odd": [
+        {"c": 0.5, "sigma": 0.0, "shift": 0.0, "m": 0, "g": [0]},
+        {"c": 0.5, "sigma": 0.0, "shift": 0.0, "m": 1, "g": [1]},
     ],
     "uniform_on_K": [
         {"c": 1.0 / 3.0, "sigma": 0.0, "shift": 0.0, "m": 0, "g": [g]} for g in range(3)

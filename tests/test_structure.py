@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from heyde import (
     AmbientGroup,
@@ -330,6 +332,17 @@ class TestDecomposeRejections:
         with pytest.raises(DecompositionError):
             decompose(inst.mu1, scaled, inst.alpha)
 
+    def test_underflowing_extremal_bound_rejected(self):
+        # centres 2 apart with sigma - sigma' = 1e-3: the two-term bound
+        # underflows to 0, so no odd coefficient fits under it
+        G = FiniteAbelianGroup((3,))
+        X = AmbientGroup(G)
+        alpha = XAutomorphism(X, -2.0, negation_automorphism(G))
+        mu2 = theta_to_measure(ThetaParams(1.0, 0.999, 0.0, 2.0, 1e-3), X)
+        mu1 = theta_to_measure(ThetaParams(2.0, 1.998, 0.0, 4.0, 1e-3), X)
+        with pytest.raises(DecompositionError, match="extremal bound"):
+            decompose(mu1, mu2, alpha)
+
     def test_diagnostics_are_strings(self):
         inst = standard_instance()
         try:
@@ -341,9 +354,11 @@ class TestDecomposeRejections:
 
 
 # omega2 whose characteristic function vanishes on part of the dual: the
-# odd slice (equal parity weights over one point) or every nontrivial h
+# odd slice (equal parity weights over one point, or odd weights that
+# cancel over K) or every nontrivial h
 VANISHING_OMEGA2 = {
     "odd_slice": [(0.5, 0.0, 0.0, 0, (0,)), (0.5, 0.0, 0.0, 1, (0,))],
+    "cancelling_odd": [(0.5, 0.0, 0.0, 0, (0,)), (0.5, 0.0, 0.0, 1, (1,))],
     "uniform_on_K": [(1.0 / 3.0, 0.0, 0.0, 0, (g,)) for g in range(3)],
 }
 
@@ -368,7 +383,7 @@ class TestDecomposeVanishingOmega:
     somewhere decomposes like any other: every step of decompose compares
     coefficients and none divides by a characteristic function."""
 
-    @pytest.mark.parametrize("a", [-1.0, -2.0])
+    @pytest.mark.parametrize("a", [-0.5, -1.0, -2.0])
     @pytest.mark.parametrize("omega_key", sorted(VANISHING_OMEGA2))
     def test_raises_decomposition_error(self, a, omega_key):
         inst = vanishing_instance(a, omega_key)
@@ -381,6 +396,70 @@ class TestDecomposeVanishingOmega:
             if dec.gamma is not None:
                 rebuilt = theta_to_measure(dec.gamma[j], X).convolve(rebuilt)
             assert char_sup_distance(rebuilt.shifted(dec.shift[j]), mu) <= 1e-10
+
+
+@hs.composite
+def omega2_on_negation_kernel(draw):
+    """A group whose K = Ker(I + alpha_G) is all of G under negation, omega2's
+    terms with integer weights per (m, g) on K, and whether some odd weight
+    w(0, g) - w(1, g) is nonzero; half the draws make the m = 1 weights a
+    permutation of the m = 0 ones, so the odd weights cancel over K."""
+    G = FiniteAbelianGroup(draw(hs.sampled_from(((3,), (3, 5)))))
+    points = [tuple(int(v) for v in row) for row in G.all_coords()]
+    weights = hs.lists(hs.integers(0, 4), min_size=len(points), max_size=len(points))
+    even = draw(weights.filter(any))
+    odd = draw(hs.permutations(even) if draw(hs.booleans()) else weights)
+    total = sum(even) + sum(odd)
+    terms = [
+        (w / total, 0.0, 0.0, m, g)
+        for m, side in enumerate((even, odd))
+        for w, g in zip(side, points)
+        if w
+    ]
+    return G, terms, even != odd
+
+
+class TestDecomposeRecoversTheFactors:
+    """Any valid pair decomposes, whatever omega2's weights on K, and the
+    Gaussian factor's scales and centres are those of the instance."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        drawn=omega2_on_negation_kernel(),
+        a=hs.sampled_from((-0.5, -2.0, -3.0)),
+        sigma=hs.floats(0.5, 2.0),
+        ratio=hs.sampled_from((0.3, 0.5, 0.7)),
+        m=hs.floats(-0.5, 0.5),
+        m_p=hs.floats(-0.5, 0.5),
+        kappa_frac=hs.floats(0.2, 0.95),
+        vartheta_d=hs.sampled_from((-0.8, -0.3, 0.4, 1.0)),
+        t=hs.floats(-1.0, 1.0),
+    )
+    def test_round_trip(self, drawn, a, sigma, ratio, m, m_p, kappa_frac, vartheta_d, t):
+        G, omega_terms, has_odd = drawn
+        X = AmbientGroup(G)
+        kappa = kappa_frac * two_term_bound(sigma, m, ratio * sigma, m_p)
+        theta2 = ThetaParams(sigma, ratio * sigma, m, m_p, kappa)
+        omega2 = AtomicSignedMeasure.from_terms(X, omega_terms)
+        inst = generate_instance(
+            InstanceSpec(
+                group=X,
+                a=a,
+                alpha_G=negation_automorphism(G),
+                theta2=theta2,
+                omega2=omega2,
+                vartheta_d=vartheta_d,
+                x2=X.point(t, 1, [1] * G.rank),
+            )
+        )
+        dec = decompose(inst.mu1, inst.mu2, inst.alpha)
+        assert dec.reconstruction_error <= 1e-10
+        for got, want in zip(dec.gamma, inst.effective_thetas()):
+            assert got.sigma == pytest.approx(want.sigma, abs=1e-10)
+            assert got.m == pytest.approx(want.m, abs=1e-10)
+            if has_odd:
+                assert got.sigma_p == pytest.approx(want.sigma_p, abs=1e-10)
+                assert got.m_p == pytest.approx(want.m_p, abs=1e-10)
 
 
 def real_mean(mu):
