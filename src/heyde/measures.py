@@ -49,7 +49,8 @@ __all__ = [
 
 # canonical form drops coefficients of modulus at most DROP_TOL; a density,
 # point mass or class margin within NONNEG_TOL below 0 counts as the
-# nonnegativity boundary, not as negative
+# nonnegativity boundary, not as negative, and a derived coefficient sum
+# within NONNEG_TOL of 0 as absent
 DROP_TOL = 1e-14
 NONNEG_TOL = 1e-12
 

@@ -13,7 +13,7 @@ nondegenerate application (rigidity).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -85,18 +85,15 @@ def cross_constraint_residuals(
     theta1: ThetaParams, theta2: ThetaParams, a: float
 ) -> tuple[float, float, float, float]:
     """Residuals of sigma1 + a*sigma2, sigma'1 + a*sigma'2, and the shifts."""
-    return (
-        abs(theta1.sigma + a * theta2.sigma),
-        abs(theta1.sigma_p + a * theta2.sigma_p),
-        abs(theta1.m + a * theta2.m),
-        abs(theta1.m_p + a * theta2.m_p),
-    )
+    return tuple(abs(x1 + a * x2) for x1, x2 in zip(astuple(theta1)[:4], astuple(theta2)[:4]))
 
 
 def check_cross_constraints(
     theta1: ThetaParams, theta2: ThetaParams, a: float, tol: float = 1e-10
 ) -> bool:
-    return max(cross_constraint_residuals(theta1, theta2, a)) <= tol
+    """Each |x1 + a*x2| is at most tol * max(1, |x1| + |a|*|x2|), the gate's real-key rule."""
+    pairs = zip(astuple(theta1)[:4], astuple(theta2)[:4])
+    return all(abs(x1 + a * x2) <= tol * max(1.0, abs(x1) + abs(a) * abs(x2)) for x1, x2 in pairs)
 
 
 def _extremal_or_one(p: ThetaParams) -> float:
@@ -329,45 +326,56 @@ def _coset_representative(
 
 
 def _factor(
-    reduced: Sequence[AtomicSignedMeasure], a: float, tol: float
+    reduced: Sequence[AtomicSignedMeasure], a: float
 ) -> tuple[tuple, tuple, tuple, tuple]:
     """Split each reduced mu into an extremal gamma factor and omega on Z(2) x K.
 
-    Read off mu's coefficient table (_parity_sums): the even sums beyond
-    tol must sit on one real atom (sigma, m), the odd sums beyond tol on at
-    most one (sigma', m'), where none or the same atom is the degenerate
-    class member with extremal bound rho = 1.  The gamma factor takes
-    kappa = sign * rho, sign that of kappa_raw, the odd sum over all keys;
-    omega keeps the even sum e_g and odd sum o_g * sign / rho per g.
-    Returns the pairs of gammas, omegas, kappa_raw and rho; the gammas must
-    satisfy the cross constraints for a, matched like the gate's real keys.
+    Read off mu's coefficient table (_parity_sums), a sum present when
+    outside the NONNEG_TOL band, whatever tol: the even sums must sit on one
+    real atom (sigma, m), the odd ones on at most one (sigma', m'), where
+    the same atom is the degenerate member with extremal bound rho = 1.  A
+    mu without odd sums (vartheta_d, kappa or omega's odd weights 0) fits
+    any (sigma', m') and takes its partner's through the cross constraints.
+    The gamma factor takes kappa = sign * rho, sign that of kappa_raw, the
+    odd sum over all keys; omega keeps the even sum e_g and odd sum o_g *
+    sign / rho per g.  Returns the pairs of gammas, omegas, kappa_raw and
+    rho; the gammas must satisfy the cross constraints within KEY_TOL.
     """
     group = reduced[0].group
-    factors = []
+    tables, profiles = [], []
     for label, mu_red in zip(("mu1", "mu2"), reduced):
         keys, first, sums = _parity_sums(mu_red)
         even, odd = sums.T
         terms = [mu_red.terms[i] for i in first]
         # a real atom is the pair of cluster labels of (sigma, shift)
         atoms = [tuple(row) for row in keys[:, :2].tolist()]
-        on_even = {x for x, e in zip(atoms, even) if abs(e) > tol}
-        on_odd = {x for x, o in zip(atoms, odd) if abs(o) > tol}
+        on_even = {x for x, e in zip(atoms, even) if abs(e) > NONNEG_TOL}
+        on_odd = {x for x, o in zip(atoms, odd) if abs(o) > NONNEG_TOL}
         if len(on_even) != 1 or len(on_odd) > 1:
             raise DecompositionError(
                 f"{label}: even coefficients sit on {len(on_even)} real atoms "
                 f"(need 1) and odd ones on {len(on_odd)} (need at most 1)"
             )
-        atom = atom_p = terms[atoms.index(*on_even)].atom
-        if on_odd <= on_even:
+        tables.append((label, terms, even, odd))
+        # [sigma, m] and, if mu has odd sums, [sigma', m']
+        found = (terms[atoms.index(*on)].atom for on in (on_even, on_odd) if on)
+        profiles.append([x for atom in found for x in astuple(atom)])
+    # a mu without odd sums fits any (sigma', m'): it takes its partner's
+    # through the cross constraints, or is degenerate like it
+    for own, other, scale in ((profiles[0], profiles[1], -a), (profiles[1], profiles[0], -1 / a)):
+        if len(own) == 2:
+            own += own[:2] if other[2:] in ([], other[:2]) else [scale * x for x in other[2:]]
+    factors = []
+    for (label, terms, even, odd), (sigma, m, sigma_p, m_p) in zip(tables, profiles):
+        if (sigma_p, m_p) == (sigma, m):
             rho = 1.0
         else:
-            atom_p = terms[atoms.index(*on_odd)].atom
-            if not (0.0 < atom_p.sigma < atom.sigma):
+            if not (0.0 < sigma_p < sigma):
                 raise DecompositionError(
-                    f"{label}: exponential profiles (sigma={atom.sigma}, "
-                    f"sigma'={atom_p.sigma}) violate the class ordering"
+                    f"{label}: exponential profiles (sigma={sigma}, "
+                    f"sigma'={sigma_p}) violate the class ordering"
                 )
-            rho = two_term_bound(atom.sigma, atom.shift, atom_p.sigma, atom_p.shift)
+            rho = two_term_bound(sigma, m, sigma_p, m_p)
             if rho == 0.0:  # the bound underflows: no odd coefficient fits under it
                 raise DecompositionError(f"{label}: the extremal bound underflows to 0")
         kappa_raw = float(odd.sum())
@@ -389,11 +397,10 @@ def _factor(
                 f"{label}: renormalized omega factor is not a distribution "
                 f"(min {verdict.min_value:.3e})"
             )
-        gamma = ThetaParams(atom.sigma, atom_p.sigma, atom.shift, atom_p.shift, rho * sign)
+        gamma = ThetaParams(sigma, sigma_p, m, m_p, rho * sign)
         factors.append((gamma, omega, kappa_raw, rho))
     (g1, g2), omegas, kappas, rhos = zip(*factors)
-    pairs = ((g1.sigma, g2.sigma), (g1.sigma_p, g2.sigma_p), (g1.m, g2.m), (g1.m_p, g2.m_p))
-    if any(abs(x1 + a * x2) > KEY_TOL * max(1.0, abs(x1) + abs(a) * abs(x2)) for x1, x2 in pairs):
+    if not check_cross_constraints(g1, g2, a, tol=KEY_TOL):
         raise DecompositionError(
             f"recovered exponential parameters violate the cross constraints for a = {a}"
         )
@@ -418,8 +425,8 @@ def decompose(
     for a = -1 there is no gamma factor and omega_j is the reduced mu_j.
     Then the omegas are aligned by a K-translation and linked by an
     order-2 measure (delta_relation), and the reconstruction is checked
-    against mu1 and mu2, all on the same coefficient tables.  Every step
-    compares coefficients within tol.
+    against mu1 and mu2, all on the same coefficient tables and within tol
+    (the factor step tells present sums by the fixed NONNEG_TOL band).
     """
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tol must be finite and >= 0, got {tol}")
@@ -453,7 +460,7 @@ def decompose(
         )
     else:
         branch = BRANCH_GENERIC
-        gamma, (omega1, omega2), kappa_raw, rho = _factor(reduced, alpha.a, tol)
+        gamma, (omega1, omega2), kappa_raw, rho = _factor(reduced, alpha.a)
 
     # the omegas' coset representatives can differ by a K-translation dk;
     # one that works moves a point of omega1 onto omega2's heaviest point of

@@ -25,7 +25,7 @@ distribution unless |c| = 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .ambient import AmbientGroup
 from .measures import NONNEG_TOL, AtomicSignedMeasure, order_two_measure, two_term_bound
@@ -65,13 +65,7 @@ class ThetaParams:
             raise ValueError("sigma and sigma_p must be >= 0")
 
     def to_json(self) -> dict:
-        return {
-            "sigma": self.sigma,
-            "sigma_p": self.sigma_p,
-            "m": self.m,
-            "m_p": self.m_p,
-            "kappa": self.kappa,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json(cls, data: dict) -> "ThetaParams":

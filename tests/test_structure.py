@@ -419,9 +419,37 @@ def omega2_on_negation_kernel(draw):
     return G, terms, even != odd
 
 
+def assert_recovers_the_factors(G, omega_terms, has_odd, a, theta2, vartheta_d, t):
+    """generate_instance -> decompose round-trips, and gamma's scales and
+    centres are the instance's; sigma' and m' only when omega2 has odd
+    weights (otherwise no coefficient of either mu carries them)."""
+    X = AmbientGroup(G)
+    inst = generate_instance(
+        InstanceSpec(
+            group=X,
+            a=a,
+            alpha_G=negation_automorphism(G),
+            theta2=theta2,
+            omega2=AtomicSignedMeasure.from_terms(X, omega_terms),
+            vartheta_d=vartheta_d,
+            x2=X.point(t, 1, [1] * G.rank),
+        )
+    )
+    dec = decompose(inst.mu1, inst.mu2, inst.alpha)
+    assert dec.reconstruction_error <= 1e-10
+    for got, want in zip(dec.gamma, inst.effective_thetas()):
+        assert got.sigma == pytest.approx(want.sigma, abs=1e-10)
+        assert got.m == pytest.approx(want.m, abs=1e-10)
+        if has_odd:
+            assert got.sigma_p == pytest.approx(want.sigma_p, abs=1e-10)
+            assert got.m_p == pytest.approx(want.m_p, abs=1e-10)
+
+
 class TestDecomposeRecoversTheFactors:
-    """Any valid pair decomposes, whatever omega2's weights on K, and the
-    Gaussian factor's scales and centres are those of the instance."""
+    """Any valid pair decomposes, whatever omega2's weights on K, however
+    small its odd coefficients and with vartheta_d = 0 (mu1 without odd
+    coefficients), and the Gaussian factor's scales and centres are those
+    of the instance."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -431,35 +459,28 @@ class TestDecomposeRecoversTheFactors:
         ratio=hs.sampled_from((0.3, 0.5, 0.7)),
         m=hs.floats(-0.5, 0.5),
         m_p=hs.floats(-0.5, 0.5),
-        kappa_frac=hs.floats(0.2, 0.95),
-        vartheta_d=hs.sampled_from((-0.8, -0.3, 0.4, 1.0)),
+        kappa_frac=hs.just(1e-8) | hs.floats(0.2, 0.95),
+        vartheta_d=hs.sampled_from((-0.8, -0.3, 0.0, 1e-4, 0.1, 0.4, 1.0)),
         t=hs.floats(-1.0, 1.0),
     )
     def test_round_trip(self, drawn, a, sigma, ratio, m, m_p, kappa_frac, vartheta_d, t):
         G, omega_terms, has_odd = drawn
-        X = AmbientGroup(G)
         kappa = kappa_frac * two_term_bound(sigma, m, ratio * sigma, m_p)
         theta2 = ThetaParams(sigma, ratio * sigma, m, m_p, kappa)
-        omega2 = AtomicSignedMeasure.from_terms(X, omega_terms)
-        inst = generate_instance(
-            InstanceSpec(
-                group=X,
-                a=a,
-                alpha_G=negation_automorphism(G),
-                theta2=theta2,
-                omega2=omega2,
-                vartheta_d=vartheta_d,
-                x2=X.point(t, 1, [1] * G.rank),
-            )
+        assert_recovers_the_factors(G, omega_terms, has_odd, a, theta2, vartheta_d, t)
+
+    # odd coefficients of mu2 at 0.9e-9, of mu1 at kappa * |d| below 1e-9
+    # and below the NONNEG_TOL band, and none in mu1 (d = 0)
+    @pytest.mark.parametrize("a", [-0.5, -2.0])
+    @pytest.mark.parametrize(
+        "kappa, vartheta_d", [(0.9e-9, 1.0), (5e-9, 0.1), (1e-9, 1e-4), (0.3, 0.0)]
+    )
+    def test_small_or_absent_odd_coefficients(self, a, kappa, vartheta_d):
+        omega_terms = [(0.6, 0.0, 0.0, 0, (0,)), (0.4, 0.0, 0.0, 1, (1,))]
+        theta2 = ThetaParams(1.0, 0.5, 0.1, -0.2, kappa)
+        assert_recovers_the_factors(
+            FiniteAbelianGroup((3,)), omega_terms, True, a, theta2, vartheta_d, 0.3
         )
-        dec = decompose(inst.mu1, inst.mu2, inst.alpha)
-        assert dec.reconstruction_error <= 1e-10
-        for got, want in zip(dec.gamma, inst.effective_thetas()):
-            assert got.sigma == pytest.approx(want.sigma, abs=1e-10)
-            assert got.m == pytest.approx(want.m, abs=1e-10)
-            if has_odd:
-                assert got.sigma_p == pytest.approx(want.sigma_p, abs=1e-10)
-                assert got.m_p == pytest.approx(want.m_p, abs=1e-10)
 
 
 def real_mean(mu):
