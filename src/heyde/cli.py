@@ -324,6 +324,7 @@ def cmd_simulate(args) -> int:
             "pass": mc.passed,
             "n_samples": mc.n_samples,
             "probe_count": mc.probe_count,
+            "worst": None if mc.worst is None else mc.worst.to_json(),
         },
     }
     if args.csv:

@@ -554,28 +554,15 @@ def support_in_annihilator(
 ) -> bool:
     """True iff the characteristic function is 1 on the generated subgroup.
 
-    Checked on integer-combination samples of the generators; when the check
-    passes, the implied support containment is asserted directly on the
-    atoms as a consistency guard.
+    Checked within tol on integer-combination samples of the generators.
+    For a signed measure the value 1 does not put every atom in the
+    annihilator: atoms can cancel.
     """
     points = _subgroup_sample(generators, multiples)
     s = np.array([y.s for y in points])
     n = [y.n for y in points]
     h = [y.h.coords for y in points]
     ok = bool(np.all(np.abs(np.diagonal(char_values(mu, s, n, h)) - 1.0) <= tol))
-    if ok and mu.terms:
-        if mu.has_continuous_part and np.any(np.abs(s) > tol):
-            raise AssertionError(
-                "char = 1 on the subgroup but a Gaussian atom meets a"
-                " generator with a nonzero real coordinate"
-            )
-        # Gaussian atoms sit at t = 0 here: only their finite slots pair
-        t = [0.0 if a.atom.sigma > 0.0 else a.atom.shift for a in mu.terms]
-        vals = pairing(
-            mu.group.G, [a.g.coords for a in mu.terms], h, [a.m for a in mu.terms], n, t, s
-        )
-        if np.any(np.abs(vals - 1.0) > math.sqrt(tol)):
-            raise AssertionError("char = 1 on the subgroup but an atom pairs nontrivially")
     return ok
 
 
@@ -600,9 +587,7 @@ def max_modulus_check(
     return float(vals[:, 0].max()) <= float(vals[:, 1].max()) + tol
 
 
-def measures_close(
-    mu: AtomicSignedMeasure, nu: AtomicSignedMeasure, tol: float = 1e-12
-) -> bool:
+def measures_close(mu: AtomicSignedMeasure, nu: AtomicSignedMeasure, tol: float) -> bool:
     """Termwise comparison of canonical forms within tol on each field."""
     if mu.group != nu.group or len(mu.terms) != len(nu.terms):
         return False

@@ -58,9 +58,11 @@ OMEGA2_FROM_OMEGA1 = "omega2_eq_omega1_conv_vartheta"
 
 # total mass must be 1 within MASS_TOL; an omega characteristic value of
 # modulus below VANISH_TOL counts as 0 (factor_exchange refuses such an
-# omega, rigidity_decision flags it)
+# omega, rigidity_decision flags it); an a within MINUS_ONE_TOL of -1 takes
+# decompose's a = -1 branch
 MASS_TOL = 1e-9
 VANISH_TOL = 1e-10
+MINUS_ONE_TOL = 1e-12
 
 
 class InfeasibleSpec(ValueError):
@@ -109,7 +111,8 @@ def derive_partner_params(
     """theta1 forced by the cross constraints, with kappa1 chosen or defaulted.
 
     The default keeps the ratio |kappa|/extremal equal on both sides, which
-    preserves class membership whenever theta2 is a member.
+    preserves class membership whenever theta2 is a member; the ratio is
+    capped at 1, so an extremal theta2 gives exactly the extremal kappa1.
     """
     if kappa1 is None:
         rho2 = _extremal_or_one(theta2)
@@ -117,7 +120,7 @@ def derive_partner_params(
             -a * theta2.sigma, -a * theta2.sigma_p, -a * theta2.m, -a * theta2.m_p, 1.0
         )
         rho1 = _extremal_or_one(trial)
-        kappa1 = math.copysign(rho1 * abs(theta2.kappa) / rho2, theta2.kappa)
+        kappa1 = math.copysign(min(rho1, rho1 * abs(theta2.kappa) / rho2), theta2.kappa)
     return ThetaParams(
         -a * theta2.sigma, -a * theta2.sigma_p, -a * theta2.m, -a * theta2.m_p, kappa1
     )
@@ -450,7 +453,7 @@ def decompose(
 
     flags: list[str] = []
     notes: list[str] = []
-    if abs(alpha.a + 1.0) < 1e-12:
+    if abs(alpha.a + 1.0) < MINUS_ONE_TOL:
         branch = BRANCH_MINUS_ONE
         gamma = kappa_raw = rho = None
         omega1, omega2 = reduced

@@ -37,7 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from .ambient import AmbientGroup, XAutomorphism, YPoint
-from .finite_abelian import FiniteAbelianGroup, GroupAutomorphism, GroupElement, pairing_phase
+from .finite_abelian import GroupAutomorphism, GroupElement, pairing
 from .measures import AtomicSignedMeasure, char_values, order_two_measure, sample_arrays
 
 __all__ = [
@@ -50,6 +50,7 @@ __all__ = [
     "ResidualReport",
     "equation_residual",
     "equation_residual_report",
+    "McWorst",
     "McReport",
     "mc_symmetry_test",
     "finite_exact_check",
@@ -133,12 +134,18 @@ def _sum_by_key(real, size, finite, coef) -> tuple[np.ndarray, np.ndarray, np.nd
     its rows; a key is a row of real (columns clustered with operand sizes
     size) and of finite."""
     labels = np.column_stack([_cluster_labels(x, w) for x, w in zip(real.T, size.T)])
-    keys, first, inverse = np.unique(
-        np.hstack([labels, finite]), axis=0, return_index=True, return_inverse=True
-    )
-    sums = np.zeros((len(first),) + coef.shape[1:])
-    np.add.at(sums, inverse.ravel(), coef)
-    return keys, first, sums
+    rows = np.hstack([labels, finite])
+    # rows in lexicographic order; the sort is stable, so each key's first
+    # row comes first
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(len(rows), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    sums = np.zeros((int(new.sum()),) + coef.shape[1:])
+    np.add.at(sums, inverse, coef)
+    return ordered[new], order[new], sums
 
 
 def _real_keys(s1, s2, t1, t2, a: float) -> np.ndarray:
@@ -341,12 +348,26 @@ def char_sup_distance(
 
 
 @dataclass(frozen=True)
+class McWorst:
+    """The probe pair (u, v) that attains the Monte Carlo statistic, and its
+    index in the probe list."""
+
+    index: int
+    u: YPoint
+    v: YPoint
+
+    def to_json(self) -> dict:
+        return {"index": self.index, "u": self.u.to_json(), "v": self.v.to_json()}
+
+
+@dataclass(frozen=True)
 class McReport:
     statistic: float
     threshold: float
     passed: bool
     n_samples: int
     probe_count: int
+    worst: McWorst | None = None  # None when there are no probes
 
 
 def _default_probe_pairs(
@@ -368,28 +389,68 @@ def _default_probe_pairs(
     return [(u, v) for u in singles for v in singles][1:]
 
 
-def _probe_rows(
-    G: FiniteAbelianGroup, points: tuple, probes: Sequence[YPoint], want_cos: bool
-) -> tuple[list[int], np.ndarray | None, np.ndarray]:
-    """cos and sin of pair(point, y) over the samples, one row per distinct y.
+def _probe_sums(
+    alpha: XAutomorphism, x1: tuple, x2: tuple, probes: Sequence[tuple[YPoint, YPoint]]
+) -> np.ndarray:
+    """sum over the samples of pair(L1, u) * Im pair(L2, v), per probe pair.
 
-    Returns the row of each probe, the cos rows (None unless wanted) and
-    the sin rows; rows are filled one at a time, so no complex matrix over
-    all probes is ever held.
+    x1 and x2 are the (t, m, g) samples of xi_1 and xi_2.  L1 and L2 share
+    their Z(2) coordinate m1 + m2, so a sample falls in one bin
+    b = (m1 + m2, g1, g2) of 2|G|^2, on which the finite factors chi_u of
+    pair(L1, u) and chi_v of pair(L2, v) are constant.  With T1, T2 the
+    real parts of L1, L2 and e = exp(i s_u T1), the sum is
+
+        sum_b chi_u(b) [Re chi_v(b) A_sin(b) + Im chi_v(b) A_cos(b)],
+
+    A_sin(b) and A_cos(b) the bin sums of e sin(s_v T2) and e cos(s_v T2).
+    The trig runs once per distinct s on each side, the bin sums once per
+    distinct (s_u, s_v), and each probe pair then costs the occupied bins,
+    at most min(N, 2|G|^2).
     """
-    t, m, g = points
-    rows: dict[tuple, int] = {}
-    index = [rows.setdefault((y.s, y.n, y.h.coords), len(rows)) for y in probes]
-    cos = np.empty((len(rows), len(t))) if want_cos else None
-    sin = np.empty((len(rows), len(t)))
-    for (s, n, h), j in rows.items():
-        angle, odd = pairing_phase(G, g, [h], m, [n], t, [s])
-        np.sin(angle[:, 0], out=sin[j])
-        np.negative(sin[j], out=sin[j], where=odd[:, 0])
-        if want_cos:
-            np.cos(angle[:, 0], out=cos[j])
-            np.negative(cos[j], out=cos[j], where=odd[:, 0])
-    return index, cos, sin
+    (t1, m1, g1), (t2, m2, g2) = x1, x2
+    G = alpha.group.G
+    dims = (2,) + G.cyclic_orders * 2
+    key = np.ravel_multi_index((m1 ^ m2, *g1.T, *g2.T), dims)
+    # samples in bin order; np.add.reduceat sums each run of one bin, which
+    # rounds far less than a running sum over a bin of 10^5 samples
+    order = np.argsort(key)
+    key = key[order]
+    starts = np.flatnonzero(np.diff(key, prepend=-1))
+    bins = key[starts]
+    bin_coords = np.stack(np.unravel_index(bins, dims), axis=1)
+    bin_m, bin_g1, bin_g2 = np.split(bin_coords, [1, 1 + G.rank], axis=1)
+    # finite parts of L1 and L2 per bin; the pairing is periodic in each
+    bin_f1 = bin_g1 + bin_g2
+    bin_f2 = bin_g1 + bin_g2 @ np.array(alpha.alpha_G.matrix, dtype=np.int64).T
+
+    def finite_factors(ys, bin_f):
+        # chi over the occupied bins, one column per distinct (n, h)
+        columns: dict[tuple, int] = {}
+        index = [columns.setdefault((y.n, y.h.coords), len(columns)) for y in ys]
+        n = [c[0] for c in columns]
+        h = [c[1] for c in columns]
+        return np.array(index), pairing(G, bin_f, h, bin_m[:, 0], n)
+
+    qu, chi_u = finite_factors([u for u, _ in probes], bin_f1)
+    qv, chi_v = finite_factors([v for _, v in probes], bin_f2)
+    T1, T2 = (t1 + t2)[order], (t1 + alpha.a * t2)[order]
+    trig1 = {s: (np.cos(s * T1), np.sin(s * T1)) for s in {u.s for u, _ in probes}}
+    trig2 = {s: (np.cos(s * T2), np.sin(s * T2)) for s in {v.s for _, v in probes}}
+
+    def bin_sum(weights: np.ndarray) -> np.ndarray:
+        return np.add.reduceat(weights, starts)
+
+    groups: dict[tuple[float, float], list[int]] = {}
+    for k, (u, v) in enumerate(probes):
+        groups.setdefault((u.s, v.s), []).append(k)
+    sums = np.empty(len(probes), dtype=complex)
+    for (s_u, s_v), members in groups.items():
+        (cos_u, sin_u), (cos_v, sin_v) = trig1[s_u], trig2[s_v]
+        a_sin = bin_sum(cos_u * sin_v) + 1j * bin_sum(sin_u * sin_v)
+        a_cos = bin_sum(cos_u * cos_v) + 1j * bin_sum(sin_u * cos_v)
+        table = chi_u.T @ (a_sin[:, None] * chi_v.real + a_cos[:, None] * chi_v.imag)
+        sums[members] = table[qu[members], qv[members]]
+    return sums
 
 
 def mc_symmetry_test(
@@ -409,8 +470,11 @@ def mc_symmetry_test(
     which equals 2 |mean pair(L1,u) * Im pair(L2,v)|, and the acceptance
     threshold is 4/sqrt(n_samples): the probes are
     bounded test functions, so a true symmetry keeps every difference
-    within a few multiples of the Monte Carlo scale 1/sqrt(n).  A
-    non-finite statistic, or n_samples < 1, raises ValueError.
+    within a few multiples of the Monte Carlo scale 1/sqrt(n).  The report
+    names the probe pair that attains the max.  Sampling costs O(N); the
+    probe stage O(N) per distinct real coordinate pair plus
+    O(min(N, 2|G|^2)) per probe pair (see _probe_sums).  A non-finite
+    statistic, or n_samples < 1, raises ValueError.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
@@ -422,24 +486,16 @@ def mc_symmetry_test(
     rng2 = np.random.default_rng(seeds[1])
     t1, m1, g1 = sample_arrays(mu1, rng1, n_samples)
     t2, m2, g2 = sample_arrays(mu2, rng2, n_samples)
-
-    mat = np.array(alpha.alpha_G.matrix, dtype=np.int64)
-    orders = np.array(group.G.cyclic_orders, dtype=np.int64)
-    g2a = (g2 @ mat.T) % orders[None, :]
-
-    L1 = (t1 + t2, (m1 + m2) % 2, (g1 + g2) % orders[None, :])
-    L2 = (t1 + alpha.a * t2, (m1 + m2) % 2, (g1 + g2a) % orders[None, :])
-
-    # direct - reflected = mean(w1 * 2i Im w2) with w1 = C1 + i S1, so the
-    # statistic needs cos and sin rows for u and only sin rows for v
-    rows1, C1, S1 = _probe_rows(group.G, L1, [u for u, _ in probes], True)
-    rows2, _, S2 = _probe_rows(group.G, L2, [v for _, v in probes], False)
-    sums = np.abs(C1 @ S2.T + 1j * (S1 @ S2.T))
-    stat = 2.0 / n_samples * float(sums[rows1, rows2].max(initial=0.0))
+    threshold = 4.0 / math.sqrt(n_samples)
+    if not probes:
+        return McReport(0.0, threshold, True, n_samples, 0)
+    sums = np.abs(_probe_sums(alpha, (t1, m1, g1), (t2, m2, g2), probes))
+    k = int(np.argmax(sums))
+    stat = 2.0 / n_samples * float(sums[k])
     if not math.isfinite(stat):
         raise ValueError(f"Monte Carlo statistic is not finite ({stat})")
-    threshold = 4.0 / math.sqrt(n_samples)
-    return McReport(stat, threshold, bool(stat <= threshold), n_samples, len(probes))
+    worst = McWorst(k, *probes[k])
+    return McReport(stat, threshold, bool(stat <= threshold), n_samples, len(probes), worst)
 
 
 def finite_exact_check(

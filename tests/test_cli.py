@@ -273,6 +273,11 @@ class TestSimulate:
         report = json.loads(out)
         assert report["mc"]["pass"] is True
         assert report["mc"]["n_samples"] == 20000
+        worst = report["mc"]["worst"]
+        assert 0 <= worst["index"] < report["mc"]["probe_count"]
+        for side in ("u", "v"):
+            assert set(worst[side]) == {"s", "n", "h"}
+            assert len(worst[side]["h"]) == 1
         with open(csv_path, newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["measure", "t", "m", "g0"]

@@ -109,8 +109,8 @@ def pair_on_samples(group, t, m, g, y):
     return np.exp(1j * (y.s * t + finite)) * (-1.0) ** ((m.astype(int) * y.n) % 2)
 
 
-def statistic_by_definition(mu1, mu2, alpha, n_samples, probes, seed):
-    """max over (u, v) of |mean(w1 * w2) - mean(w1 * conj(w2))|, w1 on L1, w2 on L2."""
+def values_by_definition(mu1, mu2, alpha, n_samples, probes, seed):
+    """|mean(w1 * w2) - mean(w1 * conj(w2))| per probe pair (u, v), w1 on L1, w2 on L2."""
     group = mu1.group
     seeds = np.random.SeedSequence(seed).spawn(2)
     t1, m1, g1 = sample_arrays(mu1, np.random.default_rng(seeds[0]), n_samples)
@@ -118,12 +118,17 @@ def statistic_by_definition(mu1, mu2, alpha, n_samples, probes, seed):
     g2a = g2 @ np.array(alpha.alpha_G.matrix).T
     L1 = (t1 + t2, m1 + m2, g1 + g2)
     L2 = (t1 + alpha.a * t2, m1 + m2, g1 + g2a)
-    stat = 0.0
+    values = []
     for u, v in probes:
         w1 = pair_on_samples(group, *L1, u)
         w2 = pair_on_samples(group, *L2, v)
-        stat = max(stat, abs((w1 * w2).mean() - (w1 * np.conj(w2)).mean()))
-    return stat
+        values.append(abs((w1 * w2).mean() - (w1 * np.conj(w2)).mean()))
+    return values
+
+
+def statistic_by_definition(mu1, mu2, alpha, n_samples, probes, seed):
+    """max over (u, v) of |mean(w1 * w2) - mean(w1 * conj(w2))|, w1 on L1, w2 on L2."""
+    return max(values_by_definition(mu1, mu2, alpha, n_samples, probes, seed), default=0.0)
 
 
 @pytest.mark.parametrize("orders", [(3,), (3, 5)])
@@ -157,4 +162,55 @@ def test_mc_statistic_without_probes_is_zero():
     inst = standard_instance()
     rep = mc_symmetry_test(inst.mu1, inst.mu2, inst.alpha, 500, probes=[], seed=1)
     assert rep.statistic == 0.0 and rep.passed and rep.probe_count == 0
+    assert rep.worst is None
     assert math.isfinite(rep.threshold)
+
+
+def assert_matches_definition(mu1, mu2, alpha, n_samples, probes, seed):
+    """The statistic and its worst probe pair against the definition."""
+    rep = mc_symmetry_test(mu1, mu2, alpha, n_samples, probes=probes, seed=seed)
+    if probes is None:
+        probes = _default_probe_pairs(mu1.group, mu1, mu2)
+    values = values_by_definition(mu1, mu2, alpha, n_samples, probes, seed)
+    assert rep.probe_count == len(probes)
+    assert rep.statistic == pytest.approx(max(values), rel=1e-12, abs=1e-15)
+    k = rep.worst.index
+    assert (rep.worst.u, rep.worst.v) == tuple(probes[k])
+    # the worst pair attains the max; a near tie may pick either of two
+    assert values[k] == pytest.approx(max(values), rel=1e-12, abs=1e-15)
+    return rep
+
+
+# a > 0 forces sigma = sigma' = 0: every atom of both measures is a point mass
+POINT_MASSES = dict(
+    orders=(3,), a=2.0, sigma=0.0, sigma_p=0.0, m=0.2, m_p=0.2, kappa=0.8, vartheta_d=0.3,
+    x2=(0.5, 1, (2,)),
+)
+
+
+@pytest.mark.parametrize("perturbed", [False, True])
+@pytest.mark.parametrize(
+    "spec, n_samples",
+    [
+        (dict(orders=(9,), matrix=((2,),)), 2000),
+        (POINT_MASSES, 2000),
+        # 2 * 15^2 = 450 bins (m, g1, g2), more than the samples
+        (dict(orders=(3, 5)), 200),
+    ],
+    ids=["z9_alpha_two", "point_masses", "more_bins_than_samples"],
+)
+def test_mc_statistic_and_worst_match_definition(spec, n_samples, perturbed):
+    inst = standard_instance(**spec)
+    mu2 = perturb_coefficient(inst.mu2) if perturbed else inst.mu2
+    assert_matches_definition(inst.mu1, mu2, inst.alpha, n_samples, None, 6)
+
+
+def test_mc_statistic_matches_definition_three_s_per_side():
+    inst = standard_instance(orders=(3, 5))
+    mu2 = perturb_coefficient(inst.mu2)
+    X = inst.mu1.group
+    us = [X.dual_point(s, 1, h) for s, h in ((0.3, (1, 2)), (-0.8, (2, 0)), (1.7, (0, 3)))]
+    vs = [X.dual_point(s, 1, h) for s, h in ((0.5, (0, 4)), (1.1, (1, 1)), (-0.4, (2, 2)))]
+    probes = [(u, v) for u in us for v in vs]
+    rep = assert_matches_definition(inst.mu1, mu2, inst.alpha, 2000, probes, 12)
+    assert rep.statistic > 0.0

@@ -318,6 +318,14 @@ class TestSupportAndModulus:
         assert support_in_annihilator(mu, [x9.dual_point(0.0, 0, (3,))])
         assert not support_in_annihilator(mu, [x9.dual_point(0.0, 0, (1,))])
 
+    def test_signed_atoms_may_cancel_on_the_subgroup(self, x9):
+        # g = 1 and g = 4 pair alike with every multiple of h = 3, so their
+        # opposite coefficients cancel there although neither is annihilated
+        mu = AtomicSignedMeasure.from_terms(
+            x9, [(1.0, 0.0, 0.0, 0, (0,)), (0.5, 0.0, 0.0, 0, (1,)), (-0.5, 0.0, 0.0, 0, (4,))]
+        )
+        assert support_in_annihilator(mu, [x9.dual_point(0.0, 0, (3,))])
+
     def test_real_support_breaks_annihilation(self, x9):
         mu = AtomicSignedMeasure.from_terms(x9, [(1.0, 0.0, 0.8, 0, (0,))])
         assert not support_in_annihilator(mu, [x9.dual_point(1.0, 0, (0,))])

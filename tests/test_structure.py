@@ -114,6 +114,19 @@ class TestDerivePartner:
         t1 = derive_partner_params(t2, -2.0, kappa1=-0.5)
         assert t1.kappa == -0.5
 
+    def test_extremal_source_gives_extremal_partner(self):
+        # rho1 * |kappa2| / rho2 overshot rho1 by one ulp here, so
+        # generate_instance refused a valid spec
+        t2 = ThetaParams(1.0, 0.3, 0.3125, 0.0, 1.0)
+        t2 = ThetaParams(1.0, 0.3, 0.3125, 0.0, rho_extremal(t2))
+        t1 = derive_partner_params(t2, -3.0)
+        assert t1.kappa == rho_extremal(t1)
+        assert is_in_theta(t1)
+        inst = standard_instance(
+            a=-3.0, sigma=1.0, sigma_p=0.3, m=0.3125, m_p=0.0, kappa=t2.kappa
+        )
+        assert inst.theta1 == t1
+
     def test_degenerate_source(self):
         t2 = ThetaParams(0.0, 0.0, 0.1, 0.1, 0.8)
         t1 = derive_partner_params(t2, 3.0)
