@@ -5,167 +5,17 @@ decomposition of equation instances, and the rigidity decision."""
 
 __version__ = "0.1.0"
 
-from .ambient import (
-    AmbientGroup,
-    XAutomorphism,
-    XPoint,
-    YAutomorphism,
-    YPoint,
-    annihilator_of_real_line,
-    pair,
-    real_z2_group,
-)
-from .finite_abelian import (
-    DualCharacter,
-    FiniteAbelianGroup,
-    GroupAutomorphism,
-    GroupElement,
-    char_table,
-    eval_character,
-    identity_automorphism,
-    is_subgroup,
-    kernel_of_I_plus,
-    negation_automorphism,
-    order_of,
-    pairing,
-    restriction_is_minus_identity,
-    scalar_automorphism,
-)
-from .measures import (
-    AtomicSignedMeasure,
-    DistributionVerdict,
-    char_fn,
-    char_values,
-    convolve,
-    density_profile,
-    dirac,
-    is_distribution,
-    max_modulus_check,
-    measures_close,
-    sample,
-    sample_arrays,
-    support_in_annihilator,
-    two_term_bound,
-)
-from .structure import (
-    Decomposition,
-    DecompositionError,
-    GeneratedInstance,
-    InfeasibleSpec,
-    InstanceSpec,
-    RigidityResult,
-    check_cross_constraints,
-    cross_constraint_residuals,
-    decompose,
-    derive_partner_params,
-    factor_exchange,
-    generate_instance,
-    lambda_tau_criterion,
-    rigidity_decision,
-    tau_from_coefficients,
-)
-from .symmetry import (
-    DeltaRelation,
-    McReport,
-    McWorst,
-    ResidualReport,
-    SGrid,
-    char_sup_distance,
-    default_s_scale,
-    delta_relation,
-    equation_residual,
-    equation_residual_report,
-    finite_exact_check,
-    joint_law_report,
-    joint_law_residual,
-    mc_symmetry_test,
-)
-from .theta import (
-    PiMeasure,
-    ThetaParams,
-    ThetaShapeError,
-    is_in_theta,
-    lambda_signed,
-    measure_to_theta,
-    rho_extremal,
-    theta_to_measure,
-    theta_verdict,
-)
+from . import ambient, finite_abelian, measures, structure, symmetry, theta
+from .ambient import *
+from .finite_abelian import *
+from .measures import *
+from .structure import *
+from .symmetry import *
+from .theta import *
 
-__all__ = [
-    "__version__",
-    "AmbientGroup",
-    "XAutomorphism",
-    "XPoint",
-    "YAutomorphism",
-    "YPoint",
-    "annihilator_of_real_line",
-    "pair",
-    "real_z2_group",
-    "DualCharacter",
-    "FiniteAbelianGroup",
-    "GroupAutomorphism",
-    "GroupElement",
-    "char_table",
-    "eval_character",
-    "identity_automorphism",
-    "is_subgroup",
-    "kernel_of_I_plus",
-    "negation_automorphism",
-    "order_of",
-    "pairing",
-    "restriction_is_minus_identity",
-    "scalar_automorphism",
-    "AtomicSignedMeasure",
-    "DistributionVerdict",
-    "char_fn",
-    "char_values",
-    "convolve",
-    "density_profile",
-    "dirac",
-    "is_distribution",
-    "max_modulus_check",
-    "measures_close",
-    "sample",
-    "sample_arrays",
-    "support_in_annihilator",
-    "two_term_bound",
-    "Decomposition",
-    "DecompositionError",
-    "GeneratedInstance",
-    "InfeasibleSpec",
-    "InstanceSpec",
-    "RigidityResult",
-    "check_cross_constraints",
-    "cross_constraint_residuals",
-    "decompose",
-    "derive_partner_params",
-    "factor_exchange",
-    "generate_instance",
-    "lambda_tau_criterion",
-    "rigidity_decision",
-    "tau_from_coefficients",
-    "DeltaRelation",
-    "McReport",
-    "McWorst",
-    "ResidualReport",
-    "SGrid",
-    "char_sup_distance",
-    "default_s_scale",
-    "delta_relation",
-    "equation_residual",
-    "equation_residual_report",
-    "finite_exact_check",
-    "joint_law_report",
-    "joint_law_residual",
-    "mc_symmetry_test",
-    "PiMeasure",
-    "ThetaParams",
-    "ThetaShapeError",
-    "is_in_theta",
-    "lambda_signed",
-    "measure_to_theta",
-    "rho_extremal",
-    "theta_to_measure",
-    "theta_verdict",
+# the package exports exactly what its modules export
+__all__ = ["__version__"] + [
+    name
+    for module in (ambient, finite_abelian, measures, structure, symmetry, theta)
+    for name in module.__all__
 ]

@@ -114,6 +114,16 @@ def _parse_measure(group: AmbientGroup, spec: object) -> AtomicSignedMeasure:
         raise CaseError(f"invalid measure spec: {exc}") from exc
 
 
+def _load_pair(args) -> tuple:
+    """The group, alpha, mu1 and mu2 of the case file, parsed in that order."""
+    case = _load_case(args.case)
+    group = _parse_group(case)
+    alpha = _parse_alpha(group, case)
+    mu1 = _parse_measure(group, _require(case, "mu1"))
+    mu2 = _parse_measure(group, _require(case, "mu2"))
+    return group, alpha, mu1, mu2
+
+
 def _format_json(value, indent: int = 0) -> str:
     """Deterministic JSON; floats at 17 significant digits, integral ones with ".0"."""
     pad = "  " * indent
@@ -154,11 +164,13 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _emit(report: dict, json_path: str | None) -> None:
-    text = _format_json(report) + "\n"
+def _emit(args, report: dict) -> None:
+    """Write the report, headed by the command and the package version, to
+    stdout and to --json."""
+    text = _format_json({"command": args.command, "version": __version__, **report}) + "\n"
     sys.stdout.write(text)
-    if json_path:
-        _atomic_write(json_path, text)
+    if args.json:
+        _atomic_write(args.json, text)
 
 
 def _emit_csv(path: str | None, header: list[str], rows) -> None:
@@ -174,11 +186,7 @@ def _emit_csv(path: str | None, header: list[str], rows) -> None:
 
 def cmd_check(args) -> int:
     method = "grid" if args.grid is not None or args.smax is not None else "joint_law"
-    case = _load_case(args.case)
-    group = _parse_group(case)
-    alpha = _parse_alpha(group, case)
-    mu1 = _parse_measure(group, _require(case, "mu1"))
-    mu2 = _parse_measure(group, _require(case, "mu2"))
+    _, alpha, mu1, mu2 = _load_pair(args)
     if method == "joint_law":
         joint = joint_law_report(mu1, mu2, alpha)
         residual = joint.residual
@@ -189,16 +197,7 @@ def cmd_check(args) -> int:
         residual = report_in.residual
         detail = {"grid": {"smax": report_in.smax, "points": report_in.points}}
     passed = residual <= args.tol
-    report = {
-        "command": "check",
-        "version": __version__,
-        "method": method,
-        "residual": residual,
-        "tol": args.tol,
-        "pass": passed,
-    }
-    report.update(detail)
-    _emit(report, args.json)
+    _emit(args, {"method": method, "residual": residual, "tol": args.tol, "pass": passed, **detail})
     return EXIT_OK if passed else EXIT_VIOLATED
 
 
@@ -224,45 +223,20 @@ def cmd_generate(args) -> int:
     try:
         inst = generate_instance(spec)
     except InfeasibleSpec as exc:
-        _emit(
-            {
-                "command": "generate",
-                "version": __version__,
-                "error": "infeasible spec",
-                "failures": list(exc.failures),
-            },
-            args.json,
-        )
+        _emit(args, {"error": "infeasible spec", "failures": list(exc.failures)})
         return EXIT_VIOLATED
-    out = {"command": "generate", "version": __version__}
-    out["group"] = group.to_json()
-    out.update(inst.to_json())
-    _emit(out, args.json)
+    _emit(args, {"group": group.to_json(), **inst.to_json()})
     return EXIT_OK
 
 
 def cmd_decompose(args) -> int:
-    case = _load_case(args.case)
-    group = _parse_group(case)
-    alpha = _parse_alpha(group, case)
-    mu1 = _parse_measure(group, _require(case, "mu1"))
-    mu2 = _parse_measure(group, _require(case, "mu2"))
+    _, alpha, mu1, mu2 = _load_pair(args)
     try:
         dec = decompose(mu1, mu2, alpha, tol=args.tol)
     except DecompositionError as exc:
-        _emit(
-            {
-                "command": "decompose",
-                "version": __version__,
-                "error": "hypothesis violated",
-                "diagnostics": list(exc.diagnostics),
-            },
-            args.json,
-        )
+        _emit(args, {"error": "hypothesis violated", "diagnostics": list(exc.diagnostics)})
         return EXIT_VIOLATED
-    report = {"command": "decompose", "version": __version__, "tol": args.tol}
-    report.update(dec.to_json())
-    _emit(report, args.json)
+    _emit(args, {"tol": args.tol, **dec.to_json()})
     return EXIT_OK
 
 
@@ -274,15 +248,15 @@ def cmd_theta(args) -> int:
         raise CaseError(f"invalid theta params: {exc}") from exc
     inside = is_in_theta(params)
     strict = 0.0 < params.sigma_p < params.sigma
-    report = {
-        "command": "theta",
-        "version": __version__,
-        "params": params.to_json(),
-        "in_class": inside,
-        "verdict": theta_verdict(params),
-        "rho_extremal": rho_extremal(params) if strict else None,
-    }
-    _emit(report, args.json)
+    _emit(
+        args,
+        {
+            "params": params.to_json(),
+            "in_class": inside,
+            "verdict": theta_verdict(params),
+            "rho_extremal": rho_extremal(params) if strict else None,
+        },
+    )
     return EXIT_OK if inside else EXIT_VIOLATED
 
 
@@ -298,25 +272,17 @@ def cmd_rigidity(args) -> int:
         result = rigidity_decision(gamma, omega)
     except ValueError as exc:
         raise CaseError(f"rigidity preconditions: {exc}") from exc
-    report = {"command": "rigidity", "version": __version__}
-    report.update(result.to_json())
-    _emit(report, args.json)
+    _emit(args, result.to_json())
     return EXIT_OK
 
 
 def cmd_simulate(args) -> int:
-    case = _load_case(args.case)
-    group = _parse_group(case)
-    alpha = _parse_alpha(group, case)
-    mu1 = _parse_measure(group, _require(case, "mu1"))
-    mu2 = _parse_measure(group, _require(case, "mu2"))
+    group, alpha, mu1, mu2 = _load_pair(args)
     for label, mu in (("mu1", mu1), ("mu2", mu2)):
         if is_distribution(mu).is_no:
             raise CaseError(f"{label} is not a distribution; cannot sample")
     mc = mc_symmetry_test(mu1, mu2, alpha, args.samples, seed=args.seed)
     report = {
-        "command": "simulate",
-        "version": __version__,
         "seed": args.seed,
         "mc": {
             "statistic": mc.statistic,
@@ -338,7 +304,7 @@ def cmd_simulate(args) -> int:
                 rows.append([idx, float(t[i]), int(m[i]), *[int(v) for v in g[i]]])
         header = ["measure", "t", "m"] + [f"g{k}" for k in range(group.G.rank)]
         _emit_csv(args.csv, header, rows)
-    _emit(report, args.json)
+    _emit(args, report)
     return EXIT_OK if mc.passed else EXIT_VIOLATED
 
 
@@ -356,13 +322,7 @@ def cmd_density_dump(args) -> int:
     hi = max(t.atom.shift for t in cont) + 10.0 * smax**0.5
     ts = np.linspace(lo, hi, args.grid)
     rows = []
-    seen = []
-    for term in cont:
-        key = (term.m, term.g.coords)
-        if key in seen:
-            continue
-        seen.append(key)
-    for m, coords in sorted(seen):
+    for m, coords in sorted({(term.m, term.g.coords) for term in cont}):
         dens, _ = density_profile(mu, m, coords, ts)
         for t_val, d_val in zip(ts, dens):
             rows.append([m, *coords, float(t_val), float(d_val)])
@@ -389,6 +349,7 @@ def _checked(convert, accept, rule: str):
 TOL = _checked(float, lambda v: math.isfinite(v) and v >= 0.0, "a finite number >= 0")
 SMAX = _checked(float, lambda v: math.isfinite(v) and v > 0.0, "a finite number > 0")
 SAMPLES = _checked(int, lambda v: v >= 1, "an integer >= 1")
+GRID = _checked(int, lambda v: v >= 2, "an integer >= 2")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -410,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_common(p)
     p.add_argument(
-        "--grid", type=int, default=None, metavar="M", help="use an s-grid of M points (33)"
+        "--grid", type=GRID, default=None, metavar="M", help="use an s-grid of M points (33)"
     )
     p.add_argument("--smax", type=SMAX, default=None, help="use an s-grid of this half width")
     p.set_defaults(func=cmd_check)
@@ -440,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("density-dump", help="CSV of continuous coset densities")
     add_common(p)
-    p.add_argument("--grid", type=int, default=201, metavar="M", help="t-grid points")
+    p.add_argument("--grid", type=GRID, default=201, metavar="M", help="t-grid points")
     p.add_argument("--csv", metavar="PATH", help="CSV output path (default stdout)")
     p.set_defaults(func=cmd_density_dump)
     return parser

@@ -61,6 +61,8 @@ class FiniteAbelianGroup:
 
     def __post_init__(self) -> None:
         orders = tuple(int(n) for n in self.cyclic_orders)
+        if not orders:
+            raise ValueError("cyclic_orders must be nonempty; the trivial group is [1]")
         if any(n < 1 for n in orders):
             raise ValueError(f"cyclic orders must be >= 1, got {orders}")
         object.__setattr__(self, "cyclic_orders", orders)
@@ -79,7 +81,7 @@ class FiniteAbelianGroup:
 
     @property
     def exponent_lcm(self) -> int:
-        return math.lcm(*self.cyclic_orders) if self.cyclic_orders else 1
+        return math.lcm(*self.cyclic_orders)
 
     def element(self, coords: Iterable[int]) -> "GroupElement":
         return GroupElement(self, _reduced(coords, self.cyclic_orders))
@@ -133,54 +135,41 @@ def _check_same_group(a, b) -> None:
 
 
 @dataclass(frozen=True)
-class GroupElement:
+class _ResidueVector:
+    """Residue vector of a group or of its dual; sums and negatives stay in
+    the operands' class, and vectors of different classes never compare
+    equal."""
+
     group: FiniteAbelianGroup
     coords: tuple[int, ...]
 
-    def __add__(self, other: "GroupElement") -> "GroupElement":
+    def __add__(self, other):
         _check_same_group(self, other)
-        return GroupElement(
+        return type(self)(
             self.group,
             tuple((a + b) % n for a, b, n in zip(self.coords, other.coords, self.group.cyclic_orders)),
         )
 
-    def __neg__(self) -> "GroupElement":
-        return GroupElement(
+    def __neg__(self):
+        return type(self)(
             self.group, tuple((-a) % n for a, n in zip(self.coords, self.group.cyclic_orders))
         )
 
-    def __sub__(self, other: "GroupElement") -> "GroupElement":
+    def __sub__(self, other):
         return self + (-other)
-
-    @property
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
 
     def to_json(self) -> list[int]:
         return list(self.coords)
 
 
-@dataclass(frozen=True)
-class DualCharacter:
+class GroupElement(_ResidueVector):
+    @property
+    def is_zero(self) -> bool:
+        return all(c == 0 for c in self.coords)
+
+
+class DualCharacter(_ResidueVector):
     """Character of the group, labelled by a residue vector of the dual."""
-
-    group: FiniteAbelianGroup
-    coords: tuple[int, ...]
-
-    def __add__(self, other: "DualCharacter") -> "DualCharacter":
-        _check_same_group(self, other)
-        return DualCharacter(
-            self.group,
-            tuple((a + b) % n for a, b, n in zip(self.coords, other.coords, self.group.cyclic_orders)),
-        )
-
-    def __neg__(self) -> "DualCharacter":
-        return DualCharacter(
-            self.group, tuple((-a) % n for a, n in zip(self.coords, self.group.cyclic_orders))
-        )
-
-    def __sub__(self, other: "DualCharacter") -> "DualCharacter":
-        return self + (-other)
 
     @property
     def is_trivial(self) -> bool:
@@ -188,9 +177,6 @@ class DualCharacter:
 
     def __call__(self, g: GroupElement) -> complex:
         return eval_character(self, g)
-
-    def to_json(self) -> list[int]:
-        return list(self.coords)
 
 
 def pairing_phase(group: FiniteAbelianGroup, g, h, m=None, n=None, t=None, s=None):
@@ -239,7 +225,7 @@ def eval_character(h: DualCharacter, g: GroupElement) -> complex:
 
 def order_of(g: GroupElement) -> int:
     """Order of g: lcm over coordinates of n_k / gcd(g_k, n_k)."""
-    return math.lcm(*(n // math.gcd(c, n) for c, n in zip(g.coords, g.group.cyclic_orders))) if g.coords else 1
+    return math.lcm(*(n // math.gcd(c, n) for c, n in zip(g.coords, g.group.cyclic_orders)))
 
 
 def char_table(group: FiniteAbelianGroup) -> np.ndarray:

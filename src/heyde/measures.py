@@ -98,9 +98,9 @@ class AtomicSignedMeasure:
         cls,
         group: AmbientGroup,
         terms: Iterable[tuple[float, float, float, int, Sequence[int] | GroupElement]],
-        drop_tol: float = DROP_TOL,
     ) -> "AtomicSignedMeasure":
-        """Build from (c, sigma, shift, m, g) tuples, canonicalizing.
+        """Build from (c, sigma, shift, m, g) tuples, canonicalizing: equal
+        atoms merge, and merged coefficients of modulus at most DROP_TOL go.
 
         NaN or infinite c, sigma or shift raise ValueError.
         """
@@ -116,7 +116,7 @@ class AtomicSignedMeasure:
             merged[key] = merged.get(key, 0.0) + c
         out = []
         for (sigma, shift, m, coords), c in merged.items():
-            if abs(c) <= drop_tol:
+            if abs(c) <= DROP_TOL:
                 continue
             out.append(Term(c, RealAtom(sigma, shift), m, group.G.element(coords)))
         out.sort(key=Term.key)

@@ -57,6 +57,7 @@ __all__ = [
     "DeltaRelation",
     "delta_relation",
     "char_sup_distance",
+    "default_s_scale",
 ]
 
 KEY_TOL = 1e-9
@@ -249,24 +250,36 @@ class SGrid:
         return np.linspace(-smax, smax, self.points)
 
 
-def _identity_deviation(
+@dataclass(frozen=True)
+class ResidualReport:
+    residual: float
+    smax: float
+    points: int
+
+
+def equation_residual_report(
     mu1: AtomicSignedMeasure,
     mu2: AtomicSignedMeasure,
-    a: float,
-    alpha_G: GroupAutomorphism,
-    s: np.ndarray,
-) -> float:
-    """Max of |f1(u+v) f2(u+Bv) - f1(u-v) f2(u-Bv)|.
+    alpha: XAutomorphism,
+    grid: SGrid | None = None,
+) -> ResidualReport:
+    """Max of |f1(u+v) f2(u+Bv) - f1(u-v) f2(u-Bv)| over the probe grid.
 
-    Real dual coordinates of u and v run over s; the finite dual coordinates
-    are exhausted, in blocks of first coordinates h1 to bound memory.  The
-    two sides depend on the Z(2) duals only through their sum, so that sum
-    is what is enumerated.  A non-finite deviation raises ValueError.
+    Real dual coordinates of u and v run over the grid; the finite dual
+    coordinates are exhausted, in blocks of first coordinates h1 to bound
+    memory.  The two sides depend on the Z(2) duals only through their sum,
+    so that sum is what is enumerated.  A non-finite residual raises
+    ValueError, so it never reads as a pass.
     """
+    if mu1.group != mu2.group or alpha.group != mu1.group:
+        raise ValueError("measures and automorphism must share one group")
+    grid = grid or SGrid()
+    s = grid.values(mu1, mu2)
+    a = alpha.a
     G = mu1.group.G
     H = G.order
     coords = G.all_coords()
-    adj_coords = coords @ np.array(alpha_G.adjoint().matrix, dtype=np.int64).T
+    adj_coords = coords @ np.array(alpha.alpha_G.adjoint().matrix, dtype=np.int64).T
     s1, s2 = np.meshgrid(s, s, indexing="ij")
     s1 = s1.ravel()
     s2 = s2.ravel()
@@ -292,33 +305,6 @@ def _identity_deviation(
         if not math.isfinite(block):
             raise ValueError(f"equation residual is not finite ({block})")
         residual = max(residual, block)
-    return residual
-
-
-@dataclass(frozen=True)
-class ResidualReport:
-    residual: float
-    smax: float
-    points: int
-
-
-def equation_residual_report(
-    mu1: AtomicSignedMeasure,
-    mu2: AtomicSignedMeasure,
-    alpha: XAutomorphism,
-    grid: SGrid | None = None,
-) -> ResidualReport:
-    """Max deviation of the symmetry identity over the probe grid.
-
-    Real dual coordinates of u and v run over the grid; the finite dual
-    coordinates are exhausted.  A non-finite residual raises ValueError, so
-    it never reads as a pass.
-    """
-    if mu1.group != mu2.group or alpha.group != mu1.group:
-        raise ValueError("measures and automorphism must share one group")
-    grid = grid or SGrid()
-    s = grid.values(mu1, mu2)
-    residual = _identity_deviation(mu1, mu2, alpha.a, alpha.alpha_G, s)
     return ResidualReport(residual, float(abs(s).max()), grid.points)
 
 
@@ -506,16 +492,15 @@ def finite_exact_check(
     """Exact residual of the identity for finite-part measures.
 
     Both measures must be supported on Z(2) x G (every atom at t = 0); the
-    automorphism is (I, alpha_G) on Z(2) x G, and all dual pairs are
-    enumerated.
+    automorphism is (I, alpha_G) on Z(2) x G, and the residual is the
+    joint-law residual, which bounds the deviation over all dual pairs.
     """
     if w1.group != w2.group:
         raise ValueError("measures live on different groups")
     for name, w in (("first", w1), ("second", w2)):
         if not w.is_finite_supported:
             raise ValueError(f"{name} measure is not supported on the finite part")
-    # finite-part chars carry no s dependence; evaluate at s = 0 only
-    return _identity_deviation(w1, w2, 1.0, alpha_G, np.zeros(1))
+    return joint_law_residual(w1, w2, XAutomorphism(w1.group, 1.0, alpha_G))
 
 
 @dataclass(frozen=True)

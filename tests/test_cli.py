@@ -365,6 +365,25 @@ class TestErrorPaths:
         assert code == EXIT_INVALID
 
 
+@pytest.mark.parametrize("command", ["check", "decompose", "simulate"])
+def test_empty_cyclic_orders_exit_two(tmp_path, capsys, command):
+    # the trivial group is [1]; [] is refused where the group is parsed
+    case = {
+        "group": {"cyclic_orders": []},
+        "alpha": {"a": -2.0, "alpha_G": {"matrix": []}},
+        "mu1": {"dirac": {"t": 0.0, "m": 0, "g": []}},
+        "mu2": {"dirac": {"t": 0.0, "m": 0, "g": []}},
+    }
+    code = main([command, write_case(tmp_path, case)])
+    captured = capsys.readouterr()
+    assert code == EXIT_INVALID
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "[1]" in lines[0]
+    assert "reshape" not in lines[0] and "broadcast" not in lines[0]
+
+
 class TestFormatting:
     def test_floats_have_17_significant_digits(self, tmp_path, capsys):
         payload = generated_payload(tmp_path, capsys)
@@ -468,6 +487,11 @@ class TestNumericArguments:
             ["check", "--smax", "0"],
             ["simulate", "--samples", "0"],
             ["simulate", "--samples", "many"],
+            ["check", "--grid", "1"],
+            ["check", "--grid", "0"],
+            ["density-dump", "--grid", "0"],
+            ["density-dump", "--grid", "1"],
+            ["density-dump", "--grid", "-3"],
         ],
     )
     def test_bad_value_exits_two(self, tmp_path, capsys, argv):
