@@ -389,19 +389,26 @@ def _probe_sums(
         sum_b chi_u(b) [Re chi_v(b) A_sin(b) + Im chi_v(b) A_cos(b)],
 
     A_sin(b) and A_cos(b) the bin sums of e sin(s_v T2) and e cos(s_v T2).
-    The trig runs once per distinct s on each side, the bin sums once per
-    distinct (s_u, s_v), and each probe pair then costs the occupied bins,
-    at most min(N, 2|G|^2).
+    The samples are put in bin order by a stable sort of the bin keys,
+    narrowed to the smallest unsigned type that holds 2|G|^2 (numpy's O(N)
+    radix sort up to 16 bits).  The trig runs once per distinct nonzero s
+    on each side: at s = 0, cos and sin are the constants 1 and 0, so a
+    pair with s_v = 0 has A_sin = 0 and A_cos the bin sums of e (the bin
+    counts when s_u = 0 too), and a pair with s_u = 0 only the bin sums of
+    cos(s_v T2) and sin(s_v T2).  The bin sums run once per distinct
+    (s_u, s_v), and each probe pair then costs the occupied bins, at most
+    min(N, 2|G|^2).
     """
     (t1, m1, g1), (t2, m2, g2) = x1, x2
     G = alpha.group.G
     dims = (2,) + G.cyclic_orders * 2
     key = np.ravel_multi_index((m1 ^ m2, *g1.T, *g2.T), dims)
+    key = key.astype(np.min_scalar_type(math.prod(dims) - 1))
     # samples in bin order; np.add.reduceat sums each run of one bin, which
     # rounds far less than a running sum over a bin of 10^5 samples
-    order = np.argsort(key)
-    key = key[order]
-    starts = np.flatnonzero(np.diff(key, prepend=-1))
+    order = np.argsort(key, kind="stable")
+    key = np.take(key, order)
+    starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
     bins = key[starts]
     bin_coords = np.stack(np.unravel_index(bins, dims), axis=1)
     bin_m, bin_g1, bin_g2 = np.split(bin_coords, [1, 1 + G.rank], axis=1)
@@ -419,9 +426,14 @@ def _probe_sums(
 
     qu, chi_u = finite_factors([u for u, _ in probes], bin_f1)
     qv, chi_v = finite_factors([v for _, v in probes], bin_f2)
-    T1, T2 = (t1 + t2)[order], (t1 + alpha.a * t2)[order]
-    trig1 = {s: (np.cos(s * T1), np.sin(s * T1)) for s in {u.s for u, _ in probes}}
-    trig2 = {s: (np.cos(s * T2), np.sin(s * T2)) for s in {v.s for _, v in probes}}
+
+    def trig(s_values, T):
+        # (cos(s T), sin(s T)) in bin order per distinct nonzero s
+        T = np.take(T, order)
+        return {s: (np.cos(s * T), np.sin(s * T)) for s in s_values if s != 0.0}
+
+    trig1 = trig({u.s for u, _ in probes}, t1 + t2)
+    trig2 = trig({v.s for _, v in probes}, t1 + alpha.a * t2)
 
     def bin_sum(weights: np.ndarray) -> np.ndarray:
         return np.add.reduceat(weights, starts)
@@ -431,9 +443,20 @@ def _probe_sums(
         groups.setdefault((u.s, v.s), []).append(k)
     sums = np.empty(len(probes), dtype=complex)
     for (s_u, s_v), members in groups.items():
-        (cos_u, sin_u), (cos_v, sin_v) = trig1[s_u], trig2[s_v]
-        a_sin = bin_sum(cos_u * sin_v) + 1j * bin_sum(sin_u * sin_v)
-        a_cos = bin_sum(cos_u * cos_v) + 1j * bin_sum(sin_u * cos_v)
+        if s_v == 0.0:
+            a_sin = np.zeros(len(starts))
+            if s_u == 0.0:
+                a_cos = np.diff(starts, append=len(key)).astype(float)
+            else:
+                cos_u, sin_u = trig1[s_u]
+                a_cos = bin_sum(cos_u) + 1j * bin_sum(sin_u)
+        elif s_u == 0.0:
+            cos_v, sin_v = trig2[s_v]
+            a_sin, a_cos = bin_sum(sin_v), bin_sum(cos_v)
+        else:
+            (cos_u, sin_u), (cos_v, sin_v) = trig1[s_u], trig2[s_v]
+            a_sin = bin_sum(cos_u * sin_v) + 1j * bin_sum(sin_u * sin_v)
+            a_cos = bin_sum(cos_u * cos_v) + 1j * bin_sum(sin_u * cos_v)
         table = chi_u.T @ (a_sin[:, None] * chi_v.real + a_cos[:, None] * chi_v.imag)
         sums[members] = table[qu[members], qv[members]]
     return sums
@@ -458,9 +481,11 @@ def mc_symmetry_test(
     bounded test functions, so a true symmetry keeps every difference
     within a few multiples of the Monte Carlo scale 1/sqrt(n).  The report
     names the probe pair that attains the max.  Sampling costs O(N); the
-    probe stage O(N) per distinct real coordinate pair plus
-    O(min(N, 2|G|^2)) per probe pair (see _probe_sums).  A non-finite
-    statistic, or n_samples < 1, raises ValueError.
+    probe stage costs one O(N) radix sort of the bin keys (a stable sort
+    beyond 2|G|^2 = 2^16), O(N) per distinct nonzero s and per distinct
+    (s_u, s_v) other than (0, 0), and O(min(N, 2|G|^2)) per probe pair
+    (see _probe_sums).  A non-finite statistic, or n_samples < 1, raises
+    ValueError.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")

@@ -214,3 +214,34 @@ def test_mc_statistic_matches_definition_three_s_per_side():
     probes = [(u, v) for u in us for v in vs]
     rep = assert_matches_definition(inst.mu1, mu2, inst.alpha, 2000, probes, 12)
     assert rep.statistic > 0.0
+
+
+# s values that take the probe stage's s = 0 shortcuts; at s_v = 0 the
+# finite character of v must be nontrivial, else pair(L2, v) is real and the
+# value is 0 whatever the code does
+S_ZERO_PROBES = {
+    "u_zero": [((0.0, 1, (1, 2)), (0.5, 1, (0, 4))), ((0.0, 0, (2, 0)), (-1.1, 0, (1, 1)))],
+    "v_zero": [((0.3, 0, (2, 0)), (0.0, 1, (1, 1))), ((-0.8, 1, (0, 3)), (0.0, 0, (2, 4)))],
+    "both_zero": [((0.0, 1, (1, 2)), (0.0, 0, (2, 3))), ((0.0, 0, (0, 0)), (0.0, 1, (0, 1)))],
+    "negative_zero": [((-0.0, 1, (0, 1)), (0.7, 1, (1, 0))), ((0.4, 0, (1, 1)), (-0.0, 1, (2, 1)))],
+}
+
+
+@pytest.mark.parametrize("name", list(S_ZERO_PROBES))
+def test_mc_statistic_matches_definition_at_s_zero(name):
+    inst = standard_instance(orders=(3, 5))
+    mu2 = perturb_coefficient(inst.mu2)
+    X = inst.mu1.group
+    probes = [(X.dual_point(*u), X.dual_point(*v)) for u, v in S_ZERO_PROBES[name]]
+    rep = assert_matches_definition(inst.mu1, mu2, inst.alpha, 2000, probes, 14)
+    assert rep.statistic > 0.0
+
+
+@pytest.mark.parametrize("perturbed", [False, True])
+def test_mc_statistic_matches_definition_beyond_16_bit_bin_keys(perturbed):
+    # 2 * 183^2 = 66,978 bins (m, g1, g2), and with g1 near (2, 60) the
+    # samples with m = 1 sit in bins whose keys need more than 16 bits
+    inst = standard_instance(orders=(3, 61), x2=(0.4, 1, (2, 58)))
+    assert 2 * inst.mu1.group.G.order ** 2 > 2**16
+    mu2 = perturb_coefficient(inst.mu2) if perturbed else inst.mu2
+    assert_matches_definition(inst.mu1, mu2, inst.alpha, 1000, None, 15)

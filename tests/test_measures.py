@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -287,6 +288,58 @@ class TestSampling:
         assert pts_a == pts_b
         pts_c = sample(mu, seed=43, count=200)
         assert pts_a != pts_c
+
+    # sha256 prefixes of the (t, m, g) bytes at fixed seeds: a change to any
+    # RNG call, its order or its size, or to one acceptance decision of the
+    # rejection step, changes them
+    @pytest.mark.parametrize(
+        "orders, terms, seed, digests",
+        [
+            pytest.param(
+                (9,),
+                [
+                    (0.5, 1.0, 0.0, 0, (0,)),
+                    (0.25, 0.5, 0.3, 0, (0,)),
+                    (0.5, 1.0, 0.0, 1, (2,)),
+                    (-0.25, 0.5, 0.0, 1, (2,)),
+                ],
+                3,
+                ("ef2626ae7ac9cec2", "0350c0baf79feac2", "0405174e57f8661b"),
+                id="negative_continuous",
+            ),
+            pytest.param(
+                (9,),
+                [
+                    (0.2, 0.0, 0.0, 0, (0,)),
+                    (0.3, 0.0, -1.5, 0, (0,)),
+                    (0.1, 0.0, 0.7, 1, (4,)),
+                    (0.4, 0.0, 2.0, 1, (8,)),
+                ],
+                5,
+                ("f1652a4a727ee2ee", "49fd550ea61d4c17", "110f5f8740b9c6de"),
+                id="all_point_masses",
+            ),
+            pytest.param(
+                (3, 5),
+                [
+                    (0.3, 0.0, 0.5, 1, (1, 2)),
+                    (0.1, 0.0, -0.5, 1, (1, 2)),
+                    (0.25, 0.8, 0.0, 1, (1, 2)),
+                    (-0.05, 0.3, 0.1, 1, (1, 2)),
+                    (0.4, 1.2, -0.4, 0, (2, 4)),
+                ],
+                7,
+                ("626c62c186b6f9e6", "e6dba666cb9659c4", "1eb8479a6d1b6e30"),
+                id="mixed_coset_z3z5",
+            ),
+        ],
+    )
+    def test_draws_are_pinned(self, orders, terms, seed, digests):
+        mu = AtomicSignedMeasure.from_terms(AmbientGroup(FiniteAbelianGroup(orders)), terms)
+        t, m, g = sample_arrays(mu, np.random.default_rng(seed), 20_000)
+        assert (t.dtype, m.dtype, g.dtype) == (np.float64, np.int8, np.int64)
+        assert g.shape == (20_000, len(orders))
+        assert tuple(hashlib.sha256(a.tobytes()).hexdigest()[:16] for a in (t, m, g)) == digests
 
     def test_sample_rejects_signed_measure(self, x9):
         mu = AtomicSignedMeasure.from_terms(
