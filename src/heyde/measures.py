@@ -457,18 +457,17 @@ def sample_arrays(
     probs = masses / masses.sum()
     counts = rng.multinomial(count, probs)
 
-    rank = mu.group.G.rank
+    # the blocked layout holds one small coset index per draw; m and g are
+    # expanded from per-coset tables after the permutation
     t_out = np.empty(count, dtype=float)
-    m_out = np.empty(count, dtype=np.int8)
-    g_out = np.empty((count, rank), dtype=np.int64)
+    c_out = np.empty(count, dtype=np.min_scalar_type(len(cosets)))
     pos0 = 0
-    for ((m, coords), terms), need in zip(cosets, counts):
+    for k, ((_, terms), need) in enumerate(zip(cosets, counts)):
         if need == 0:
             continue
         sl = slice(pos0, pos0 + need)
         pos0 += need
-        m_out[sl] = m
-        g_out[sl] = coords
+        c_out[sl] = k
         points = [(t.atom.shift, t.c) for t in terms if t.atom.sigma == 0.0]
         cont = [t for t in terms if t.atom.sigma > 0.0]
         p_mass = sum(max(c, 0.0) for _, c in points)
@@ -483,20 +482,28 @@ def sample_arrays(
             ws = np.array([max(c, 0.0) for _, c in points])
             idx = rng.choice(len(points), size=n_point, p=ws / ws.sum())
             ts[:n_point] = locs[idx]
-        n_cont = need - n_point
-        if n_cont:
-            ts[n_point:] = _rejection_sample(cont, rng, n_cont)
+        if n_point < need:
+            _rejection_sample(cont, rng, ts[n_point:])
     perm = rng.permutation(count)
+    t = np.take(t_out, perm)
+    del t_out
+    coset = np.take(c_out, perm)
+    del c_out, perm
+    m_table = np.array([m for (m, _), _ in cosets], dtype=np.int8)
+    g_table = np.array([coords for (_, coords), _ in cosets], dtype=np.int64)
     # np.take gathers the (count, rank) rows several times faster than
     # fancy indexing, with the same result
-    return np.take(t_out, perm), np.take(m_out, perm), np.take(g_out, perm, axis=0)
+    return t, np.take(m_table, coset), np.take(g_table, coset, axis=0)
 
 
 # proposals are scored in blocks whose buffers stay in cache
 _BLOCK = 1 << 16
 
 
-def _rejection_sample(cont: list[Term], rng: np.random.Generator, need: int) -> np.ndarray:
+def _rejection_sample(cont: list[Term], rng: np.random.Generator, out: np.ndarray) -> None:
+    """Fill out with draws from the coset's continuous part, by rejection
+    under its positive-part mixture inflated by 1.1."""
+    need = len(out)
     pos = [t for t in cont if t.c > 0.0]
     w = np.array([t.c for t in pos])
     w_probs = w / w.sum()
@@ -508,7 +515,7 @@ def _rejection_sample(cont: list[Term], rng: np.random.Generator, need: int) -> 
         (t.c, t.atom.shift, -4.0 * t.atom.sigma, 2.0 * math.sqrt(math.pi * t.atom.sigma))
         for t in cont
     ]
-    out = np.empty(need, dtype=float)
+    single = len(pos) == 1
     got = 0
     proposed = 0
     cap = 10_000 * (need + 1)
@@ -518,18 +525,28 @@ def _rejection_sample(cont: list[Term], rng: np.random.Generator, need: int) -> 
         if proposed > cap:
             raise RuntimeError("rejection sampling exceeded the retry cap")
         # three draws per round, in this order and of these sizes: the
-        # samples at a seed depend on it
-        comp = rng.choice(len(pos), size=n_prop, p=w_probs)
-        t = rng.standard_normal(n_prop)
+        # samples at a seed depend on it.  With one positive term, choice
+        # would draw n_prop doubles and return zeros; the same doubles are
+        # drawn into t instead, which standard_normal then overwrites.
+        t = np.empty(n_prop)
+        if single:
+            rng.random(out=t)
+        else:
+            comp = rng.choice(len(pos), size=n_prop, p=w_probs)
+        rng.standard_normal(out=t)
         u = rng.random(n_prop)
-        accept = np.empty(n_prop, dtype=bool)
+        accept = np.empty(min(n_prop, _BLOCK), dtype=bool)
         d, dens, env = (np.empty(min(n_prop, _BLOCK)) for _ in range(3))
         for lo in range(0, n_prop, _BLOCK):
             blk = slice(lo, lo + _BLOCK)
-            tb, ub, cb = t[blk], u[blk], comp[blk]
-            tb *= scales[cb]
-            tb += shifts[cb]
-            db, densb, envb = d[: len(tb)], dens[: len(tb)], env[: len(tb)]
+            tb, ub = t[blk], u[blk]
+            if single:
+                tb *= scales[0]
+                tb += shifts[0]
+            else:
+                tb *= scales[comp[blk]]
+                tb += shifts[comp[blk]]
+            ab, db, densb, envb = (a[: len(tb)] for a in (accept, d, dens, env))
             densb.fill(0.0)
             envb.fill(0.0)
             for c, shift, neg_4sigma, norm in consts:
@@ -544,12 +561,16 @@ def _rejection_sample(cont: list[Term], rng: np.random.Generator, need: int) -> 
                     envb += db
             ub *= 1.1
             ub *= envb
-            np.less(ub, densb, out=accept[blk])
-        acc = t[accept]
-        take = min(len(acc), need - got)
-        out[got : got + take] = acc[:take]
-        got += take
-    return out
+            np.less(ub, densb, out=ab)
+            # accepted proposals go to out in proposal order; the rest of
+            # the round's draws are already made, so the stream is the same
+            k = int(np.count_nonzero(ab))
+            if k >= need - got:
+                out[got:] = np.compress(ab, tb)[: need - got]
+                got = need
+                break
+            np.compress(ab, tb, out=out[got : got + k])
+            got += k
 
 
 def sample(mu: AtomicSignedMeasure, seed: int, count: int) -> list[XPoint]:

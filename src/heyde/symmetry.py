@@ -30,8 +30,11 @@ coefficient tables like the joint law's.
 
 from __future__ import annotations
 
+import contextvars
 import math
-from dataclasses import dataclass
+import threading
+import time
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -354,6 +357,9 @@ class McReport:
     n_samples: int
     probe_count: int
     worst: McWorst | None = None  # None when there are no probes
+    # wall seconds of the stages, {"sample_s", "probe_s"}; not part of the
+    # result, so left out of equality
+    timings: dict[str, float] = field(default_factory=dict, compare=False, repr=False)
 
 
 def _default_probe_pairs(
@@ -375,13 +381,48 @@ def _default_probe_pairs(
     return [(u, v) for u in singles for v in singles][1:]
 
 
+def _sample_pair(
+    mu1: AtomicSignedMeasure, mu2: AtomicSignedMeasure, seed: int, count: int
+) -> list[tuple[np.ndarray, ...]]:
+    """The (t, m, g) samples of xi_1 and xi_2, each from its own stream
+    spawned from seed.
+
+    xi_2 is drawn on one worker thread while the caller draws xi_1 (numpy's
+    generators and ufuncs release the GIL).  The streams are independent,
+    so the samples are the ones drawn one after the other.  The worker runs
+    in a copy of the caller's context, so numpy's error state carries over;
+    it is joined before any return or raise, and an exception raised in it
+    is raised here, after one raised while drawing xi_1.
+    """
+    rng1, rng2 = (np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2))
+    draws: list = [None, None]
+    failure: list[BaseException] = []
+
+    def draw_second() -> None:
+        try:
+            draws[1] = sample_arrays(mu2, rng2, count)
+        except BaseException as exc:  # handed to the caller
+            failure.append(exc)
+
+    worker = threading.Thread(target=contextvars.copy_context().run, args=(draw_second,))
+    worker.start()
+    try:
+        draws[0] = sample_arrays(mu1, rng1, count)
+    finally:
+        worker.join()
+    if failure:
+        raise failure[0]
+    return draws
+
+
 def _probe_sums(
-    alpha: XAutomorphism, x1: tuple, x2: tuple, probes: Sequence[tuple[YPoint, YPoint]]
+    alpha: XAutomorphism, draws: list, probes: Sequence[tuple[YPoint, YPoint]]
 ) -> np.ndarray:
     """sum over the samples of pair(L1, u) * Im pair(L2, v), per probe pair.
 
-    x1 and x2 are the (t, m, g) samples of xi_1 and xi_2.  L1 and L2 share
-    their Z(2) coordinate m1 + m2, so a sample falls in one bin
+    draws holds the (t, m, g) samples of xi_1 and xi_2; it is emptied, so
+    that each array is freed as soon as the stage is done with it.  L1 and
+    L2 share their Z(2) coordinate m1 + m2, so a sample falls in one bin
     b = (m1 + m2, g1, g2) of 2|G|^2, on which the finite factors chi_u of
     pair(L1, u) and chi_v of pair(L2, v) are constant.  With T1, T2 the
     real parts of L1, L2 and e = exp(i s_u T1), the sum is
@@ -399,15 +440,20 @@ def _probe_sums(
     (s_u, s_v), and each probe pair then costs the occupied bins, at most
     min(N, 2|G|^2).
     """
-    (t1, m1, g1), (t2, m2, g2) = x1, x2
+    (t1, m1, g1), (t2, m2, g2) = draws
+    draws.clear()
     G = alpha.group.G
     dims = (2,) + G.cyclic_orders * 2
     key = np.ravel_multi_index((m1 ^ m2, *g1.T, *g2.T), dims)
+    del m1, g1, m2, g2
     key = key.astype(np.min_scalar_type(math.prod(dims) - 1))
     # samples in bin order; np.add.reduceat sums each run of one bin, which
     # rounds far less than a running sum over a bin of 10^5 samples
     order = np.argsort(key, kind="stable")
     key = np.take(key, order)
+    T1 = np.take(t1 + t2, order)
+    T2 = np.take(t1 + alpha.a * t2, order)
+    del t1, t2, order
     starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
     bins = key[starts]
     bin_coords = np.stack(np.unravel_index(bins, dims), axis=1)
@@ -429,11 +475,11 @@ def _probe_sums(
 
     def trig(s_values, T):
         # (cos(s T), sin(s T)) in bin order per distinct nonzero s
-        T = np.take(T, order)
         return {s: (np.cos(s * T), np.sin(s * T)) for s in s_values if s != 0.0}
 
-    trig1 = trig({u.s for u, _ in probes}, t1 + t2)
-    trig2 = trig({v.s for _, v in probes}, t1 + alpha.a * t2)
+    trig1 = trig({u.s for u, _ in probes}, T1)
+    trig2 = trig({v.s for _, v in probes}, T2)
+    del T1, T2
 
     def bin_sum(weights: np.ndarray) -> np.ndarray:
         return np.add.reduceat(weights, starts)
@@ -480,33 +526,39 @@ def mc_symmetry_test(
     threshold is 4/sqrt(n_samples): the probes are
     bounded test functions, so a true symmetry keeps every difference
     within a few multiples of the Monte Carlo scale 1/sqrt(n).  The report
-    names the probe pair that attains the max.  Sampling costs O(N); the
-    probe stage costs one O(N) radix sort of the bin keys (a stable sort
-    beyond 2|G|^2 = 2^16), O(N) per distinct nonzero s and per distinct
-    (s_u, s_v) other than (0, 0), and O(min(N, 2|G|^2)) per probe pair
-    (see _probe_sums).  A non-finite statistic, or n_samples < 1, raises
-    ValueError.
+    names the probe pair that attains the max: the first one within
+    KEY_TOL of it, since conjugate probes can tie up to rounding.
+    Sampling costs O(N) per measure, and the two samples are drawn on two
+    threads, with the same result as drawn one after the other; the probe
+    stage costs one O(N) radix sort of the bin keys (a stable sort beyond
+    2|G|^2 = 2^16), O(N) per distinct nonzero s and per distinct (s_u, s_v)
+    other than (0, 0), and O(min(N, 2|G|^2)) per probe pair (see
+    _probe_sums).  The report's timings hold the wall seconds of the two
+    stages.  A non-finite statistic, or n_samples < 1, raises ValueError.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     group = mu1.group
     if probes is None:
         probes = _default_probe_pairs(group, mu1, mu2)
-    seeds = np.random.SeedSequence(seed).spawn(2)
-    rng1 = np.random.default_rng(seeds[0])
-    rng2 = np.random.default_rng(seeds[1])
-    t1, m1, g1 = sample_arrays(mu1, rng1, n_samples)
-    t2, m2, g2 = sample_arrays(mu2, rng2, n_samples)
+    start = time.perf_counter()
+    draws = _sample_pair(mu1, mu2, seed, n_samples)
+    sampled = time.perf_counter()
     threshold = 4.0 / math.sqrt(n_samples)
+    timings = {"sample_s": sampled - start, "probe_s": 0.0}
     if not probes:
-        return McReport(0.0, threshold, True, n_samples, 0)
-    sums = np.abs(_probe_sums(alpha, (t1, m1, g1), (t2, m2, g2), probes))
-    k = int(np.argmax(sums))
-    stat = 2.0 / n_samples * float(sums[k])
+        return McReport(0.0, threshold, True, n_samples, 0, timings=timings)
+    sums = np.abs(_probe_sums(alpha, draws, probes))
+    top = float(sums.max())
+    stat = 2.0 / n_samples * top
     if not math.isfinite(stat):
         raise ValueError(f"Monte Carlo statistic is not finite ({stat})")
-    worst = McWorst(k, *probes[k])
-    return McReport(stat, threshold, bool(stat <= threshold), n_samples, len(probes), worst)
+    k = int(np.argmax(sums >= top - KEY_TOL * top))
+    timings["probe_s"] = time.perf_counter() - sampled
+    return McReport(
+        stat, threshold, bool(stat <= threshold), n_samples, len(probes),
+        McWorst(k, *probes[k]), timings,
+    )
 
 
 def finite_exact_check(

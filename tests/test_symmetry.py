@@ -2,6 +2,7 @@ import importlib.util
 import math
 import random
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -35,8 +36,8 @@ from heyde import (
     scalar_automorphism,
     theta_to_measure,
 )
-from heyde.measures import order_two_measure
-from heyde.symmetry import KEY_TOL, _cluster_labels
+from heyde.measures import order_two_measure, sample_arrays
+from heyde.symmetry import KEY_TOL, _cluster_labels, _default_probe_pairs, _probe_sums
 from conftest import perturb_coefficient, standard_instance
 
 
@@ -182,6 +183,156 @@ class TestMonteCarlo:
         )
         with pytest.raises(ValueError):
             mc_symmetry_test(bad, bad, A, n_samples=1000)
+
+
+def z3z5_pair():
+    """A Z(3)xZ(5) pair: mu1 with a mixed point/continuous coset, mu2 with a
+    negative continuous term."""
+    X = AmbientGroup(FiniteAbelianGroup((3, 5)))
+    mu1 = AtomicSignedMeasure.from_terms(
+        X,
+        [
+            (0.3, 0.0, 0.5, 1, (1, 2)),
+            (0.1, 0.0, -0.5, 1, (1, 2)),
+            (0.25, 0.8, 0.0, 1, (1, 2)),
+            (-0.05, 0.3, 0.1, 1, (1, 2)),
+            (0.4, 1.2, -0.4, 0, (2, 4)),
+        ],
+    )
+    mu2 = AtomicSignedMeasure.from_terms(
+        X,
+        [
+            (0.5, 1.0, 0.0, 0, (0, 0)),
+            (0.25, 0.5, 0.3, 0, (0, 3)),
+            (0.5, 1.0, 0.0, 1, (2, 1)),
+            (-0.25, 0.5, 0.0, 1, (2, 1)),
+        ],
+    )
+    return mu1, mu2, neg_alpha(X, -2.0)
+
+
+def sequential_reference(mu1, mu2, alpha, n_samples, seed):
+    """(statistic, worst index) with the two samples drawn one after the
+    other on the calling thread."""
+    seeds = np.random.SeedSequence(seed).spawn(2)
+    draws = [
+        sample_arrays(mu, np.random.default_rng(s), n_samples) for mu, s in zip((mu1, mu2), seeds)
+    ]
+    sums = np.abs(_probe_sums(alpha, draws, _default_probe_pairs(alpha.group, mu1, mu2)))
+    top = sums.max()
+    return 2.0 / n_samples * float(top), int(np.flatnonzero(sums >= top - KEY_TOL * top)[0])
+
+
+def failing_measures(X):
+    """Measures that sample_arrays refuses, each with its own error."""
+    s = 1.0 - 1e-7
+    return {
+        # negative density: not a distribution
+        "signed": AtomicSignedMeasure.from_terms(
+            X, [(1.2, 1.0, 0.0, 0, (0,)), (-0.2, 0.0, 0.0, 0, (0,))]
+        ),
+        "empty": AtomicSignedMeasure.from_terms(X, []),
+        # a valid density of mass 1e-6 under a positive part of mass 1:
+        # rejection accepts about one proposal in 10^6
+        "stuck": AtomicSignedMeasure.from_terms(
+            X, [(1.0, 1.0, 0.0, 0, (0,)), (-(math.sqrt(s) - 1e-6), s, 0.0, 0, (0,))]
+        ),
+    }
+
+
+ERRORS = {
+    "signed": (ValueError, "is_distribution verdict is no"),
+    "empty": (ValueError, "zero-mass"),
+    "stuck": (RuntimeError, "retry cap"),
+}
+
+
+class TestMonteCarloThreads:
+    """The two samples are drawn on two threads; the results are those of
+    drawing them one after the other."""
+
+    @pytest.mark.parametrize("seed", [4, 17])
+    @pytest.mark.parametrize("n_samples", [1, 20_000])
+    def test_matches_sequential_reference(self, seed, n_samples):
+        mu1, mu2, alpha = z3z5_pair()
+        rep = mc_symmetry_test(mu1, mu2, alpha, n_samples, seed=seed)
+        stat, worst = sequential_reference(mu1, mu2, alpha, n_samples, seed)
+        assert rep.statistic == stat  # bit for bit
+        assert rep.worst.index == worst
+
+    @pytest.mark.parametrize(
+        "bad1, bad2",
+        [
+            (None, "signed"),
+            ("signed", None),
+            (None, "empty"),
+            (None, "stuck"),
+            # both bad: the error is mu1's
+            ("empty", "signed"),
+            ("signed", "stuck"),
+            ("stuck", "empty"),
+        ],
+    )
+    def test_errors_cross_the_thread(self, x3, bad1, bad2):
+        good = AtomicSignedMeasure.from_terms(x3, [(1.0, 1.0, 0.0, 0, (0,))])
+        bad = failing_measures(x3)
+        mu1 = good if bad1 is None else bad[bad1]
+        mu2 = good if bad2 is None else bad[bad2]
+        before = threading.active_count()
+        exc_type, message = ERRORS[bad1 or bad2]
+        with pytest.raises(exc_type, match=message):
+            mc_symmetry_test(mu1, mu2, neg_alpha(x3), n_samples=1, seed=2)
+        assert threading.active_count() == before
+
+    def test_runtime_warning_crosses_the_thread(self, x3, monkeypatch):
+        # a numpy floating-point warning while drawing xi_2 is an error
+        # under the suite's error::RuntimeWarning filter
+        mu1 = AtomicSignedMeasure.from_terms(x3, [(1.0, 1.0, 0.0, 0, (0,))])
+        mu2 = AtomicSignedMeasure.from_terms(x3, [(1.0, 0.5, 0.0, 0, (1,))])
+
+        def overflowing(mu, rng, count):
+            if mu is mu2:
+                np.float64(1e308) * np.float64(10.0)
+            return sample_arrays(mu, rng, count)
+
+        monkeypatch.setattr("heyde.symmetry.sample_arrays", overflowing)
+        before = threading.active_count()
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            mc_symmetry_test(mu1, mu2, neg_alpha(x3), n_samples=100)
+        assert threading.active_count() == before
+
+    def test_no_thread_outlives_a_passing_call(self, x3):
+        mu = AtomicSignedMeasure.from_terms(x3, [(1.0, 1.0, 0.0, 0, (0,))])
+        before = threading.active_count()
+        assert mc_symmetry_test(mu, mu, neg_alpha(x3), n_samples=1000, seed=3).passed
+        assert threading.active_count() == before
+
+    def test_timings_are_left_out_of_equality(self):
+        mu1, mu2, alpha = z3z5_pair()
+        a = mc_symmetry_test(mu1, mu2, alpha, 2000, seed=1)
+        b = mc_symmetry_test(mu1, mu2, alpha, 2000, seed=1)
+        assert set(a.timings) == {"sample_s", "probe_s"}
+        assert all(v >= 0.0 for v in a.timings.values())
+        assert a == b
+        assert "timings" not in repr(a)
+
+
+class TestMcWorst:
+    def test_first_probe_within_key_tol_of_the_max(self, x3, monkeypatch):
+        # probes 1, 2 and 3 tie up to their last bits; 0 is below KEY_TOL
+        one = 1.0
+        values = np.array(
+            [one - 4 * KEY_TOL, one, np.nextafter(one, 2.0), np.nextafter(one, 0.0)]
+        )
+        monkeypatch.setattr(
+            "heyde.symmetry._probe_sums", lambda alpha, draws, probes: values.astype(complex)
+        )
+        mu = AtomicSignedMeasure.from_terms(x3, [(1.0, 1.0, 0.0, 0, (0,))])
+        probes = [(x3.dual_point(0.5, 0, (k % 3,)), x3.dual_point(0.5, 1, (0,))) for k in range(4)]
+        rep = mc_symmetry_test(mu, mu, neg_alpha(x3), n_samples=10, probes=probes)
+        assert rep.statistic == 2.0 / 10 * float(np.nextafter(one, 2.0))
+        assert rep.worst.index == 1
+        assert rep.worst.u == probes[1][0]
 
 
 class TestFiniteExactCheck:
