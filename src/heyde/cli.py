@@ -293,8 +293,6 @@ def cmd_simulate(args) -> int:
             "worst": None if mc.worst is None else mc.worst.to_json(),
         },
     }
-    if args.timings:
-        report["timings"] = mc.timings
     if args.csv:
         rows = []
         for idx, mu in ((1, mu1), (2, mu2)):
@@ -399,9 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=SAMPLES, default=100_000, metavar="N")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--csv", metavar="PATH", help="write sample draws as CSV")
-    p.add_argument(
-        "--timings", action="store_true", help="add the wall seconds of the sample and probe stages"
-    )
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("density-dump", help="CSV of continuous coset densities")

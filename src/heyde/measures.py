@@ -436,6 +436,15 @@ def is_distribution(mu: AtomicSignedMeasure, tol: float = NONNEG_TOL) -> Distrib
     return DistributionVerdict("yes", None, None)
 
 
+def _check_samplable(mu: AtomicSignedMeasure) -> None:
+    """Raise ValueError unless mu is a distribution of nonzero mass."""
+    verdict = is_distribution(mu)
+    if not verdict.is_yes:
+        raise ValueError(f"cannot sample: is_distribution verdict is {verdict.kind}")
+    if mu.total_mass() <= DROP_TOL:
+        raise ValueError("cannot sample a zero-mass measure")
+
+
 def sample_arrays(
     mu: AtomicSignedMeasure, rng: np.random.Generator, count: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -445,13 +454,7 @@ def sample_arrays(
     masses over the total.  Continuous cosets are drawn by rejection under
     the positive-part mixture inflated by 1.1.
     """
-    verdict = is_distribution(mu)
-    if not verdict.is_yes:
-        raise ValueError(f"cannot sample: is_distribution verdict is {verdict.kind}")
-    total = mu.total_mass()
-    if total <= DROP_TOL:
-        raise ValueError("cannot sample a zero-mass measure")
-
+    _check_samplable(mu)
     cosets = sorted(mu.cosets().items())
     masses = np.array([max(sum(t.c for t in terms), 0.0) for _, terms in cosets])
     probs = masses / masses.sum()
@@ -515,7 +518,6 @@ def _rejection_sample(cont: list[Term], rng: np.random.Generator, out: np.ndarra
         (t.c, t.atom.shift, -4.0 * t.atom.sigma, 2.0 * math.sqrt(math.pi * t.atom.sigma))
         for t in cont
     ]
-    single = len(pos) == 1
     got = 0
     proposed = 0
     cap = 10_000 * (need + 1)
@@ -525,27 +527,17 @@ def _rejection_sample(cont: list[Term], rng: np.random.Generator, out: np.ndarra
         if proposed > cap:
             raise RuntimeError("rejection sampling exceeded the retry cap")
         # three draws per round, in this order and of these sizes: the
-        # samples at a seed depend on it.  With one positive term, choice
-        # would draw n_prop doubles and return zeros; the same doubles are
-        # drawn into t instead, which standard_normal then overwrites.
-        t = np.empty(n_prop)
-        if single:
-            rng.random(out=t)
-        else:
-            comp = rng.choice(len(pos), size=n_prop, p=w_probs)
-        rng.standard_normal(out=t)
+        # samples at a seed depend on it
+        comp = rng.choice(len(pos), size=n_prop, p=w_probs)
+        t = rng.standard_normal(n_prop)
         u = rng.random(n_prop)
         accept = np.empty(min(n_prop, _BLOCK), dtype=bool)
         d, dens, env = (np.empty(min(n_prop, _BLOCK)) for _ in range(3))
         for lo in range(0, n_prop, _BLOCK):
             blk = slice(lo, lo + _BLOCK)
-            tb, ub = t[blk], u[blk]
-            if single:
-                tb *= scales[0]
-                tb += shifts[0]
-            else:
-                tb *= scales[comp[blk]]
-                tb += shifts[comp[blk]]
+            tb, ub, cb = t[blk], u[blk], comp[blk]
+            tb *= scales[cb]
+            tb += shifts[cb]
             ab, db, densb, envb = (a[: len(tb)] for a in (accept, d, dens, env))
             densb.fill(0.0)
             envb.fill(0.0)

@@ -33,15 +33,20 @@ from __future__ import annotations
 import contextvars
 import math
 import threading
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .ambient import AmbientGroup, XAutomorphism, YPoint
 from .finite_abelian import GroupAutomorphism, GroupElement, pairing
-from .measures import AtomicSignedMeasure, char_values, order_two_measure, sample_arrays
+from .measures import (
+    AtomicSignedMeasure,
+    _check_samplable,
+    char_values,
+    order_two_measure,
+    sample_arrays,
+)
 
 __all__ = [
     "KEY_TOL",
@@ -357,9 +362,6 @@ class McReport:
     n_samples: int
     probe_count: int
     worst: McWorst | None = None  # None when there are no probes
-    # wall seconds of the stages, {"sample_s", "probe_s"}; not part of the
-    # result, so left out of equality
-    timings: dict[str, float] = field(default_factory=dict, compare=False, repr=False)
 
 
 def _default_probe_pairs(
@@ -392,8 +394,12 @@ def _sample_pair(
     so the samples are the ones drawn one after the other.  The worker runs
     in a copy of the caller's context, so numpy's error state carries over;
     it is joined before any return or raise, and an exception raised in it
-    is raised here, after one raised while drawing xi_1.
+    is raised here, after one raised while drawing xi_1.  mu1 is checked
+    before the worker starts, so an invalid mu1 raises without waiting for
+    xi_2; the worker is a daemon, so an interrupted join does not hold up
+    the interpreter's exit.
     """
+    _check_samplable(mu1)
     rng1, rng2 = (np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2))
     draws: list = [None, None]
     failure: list[BaseException] = []
@@ -404,7 +410,9 @@ def _sample_pair(
         except BaseException as exc:  # handed to the caller
             failure.append(exc)
 
-    worker = threading.Thread(target=contextvars.copy_context().run, args=(draw_second,))
+    worker = threading.Thread(
+        target=contextvars.copy_context().run, args=(draw_second,), daemon=True
+    )
     worker.start()
     try:
         draws[0] = sample_arrays(mu1, rng1, count)
@@ -533,32 +541,26 @@ def mc_symmetry_test(
     stage costs one O(N) radix sort of the bin keys (a stable sort beyond
     2|G|^2 = 2^16), O(N) per distinct nonzero s and per distinct (s_u, s_v)
     other than (0, 0), and O(min(N, 2|G|^2)) per probe pair (see
-    _probe_sums).  The report's timings hold the wall seconds of the two
-    stages.  A non-finite statistic, or n_samples < 1, raises ValueError.
+    _probe_sums).  A non-finite statistic, or n_samples < 1, raises
+    ValueError.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     group = mu1.group
     if probes is None:
         probes = _default_probe_pairs(group, mu1, mu2)
-    start = time.perf_counter()
     draws = _sample_pair(mu1, mu2, seed, n_samples)
-    sampled = time.perf_counter()
     threshold = 4.0 / math.sqrt(n_samples)
-    timings = {"sample_s": sampled - start, "probe_s": 0.0}
     if not probes:
-        return McReport(0.0, threshold, True, n_samples, 0, timings=timings)
+        return McReport(0.0, threshold, True, n_samples, 0)
     sums = np.abs(_probe_sums(alpha, draws, probes))
     top = float(sums.max())
     stat = 2.0 / n_samples * top
     if not math.isfinite(stat):
         raise ValueError(f"Monte Carlo statistic is not finite ({stat})")
     k = int(np.argmax(sums >= top - KEY_TOL * top))
-    timings["probe_s"] = time.perf_counter() - sampled
-    return McReport(
-        stat, threshold, bool(stat <= threshold), n_samples, len(probes),
-        McWorst(k, *probes[k]), timings,
-    )
+    worst = McWorst(k, *probes[k])
+    return McReport(stat, threshold, bool(stat <= threshold), n_samples, len(probes), worst)
 
 
 def finite_exact_check(

@@ -294,20 +294,6 @@ class TestSimulate:
         assert s(out1) == s(out3)
         assert s(out1) != s(out2)
 
-    def test_timings_flag_adds_the_stages_only(self, tmp_path, capsys):
-        payload = generated_payload(tmp_path, capsys)
-        case = write_case(tmp_path, payload, "sim.json")
-        argv = ["simulate", case, "--samples", "5000", "--seed", "3"]
-        _, plain = run(capsys, argv)
-        code, timed = run(capsys, argv + ["--timings"])
-        assert code == EXIT_OK
-        report = json.loads(timed)
-        timings = report.pop("timings")
-        assert set(timings) == {"sample_s", "probe_s"}
-        assert all(isinstance(v, float) and v >= 0.0 for v in timings.values())
-        assert report == json.loads(plain)
-        assert "timings" not in json.loads(plain)
-
     def test_signed_measure_rejected(self, tmp_path, capsys):
         payload = generated_payload(tmp_path, capsys)
         payload["mu1"] = {

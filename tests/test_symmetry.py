@@ -307,14 +307,23 @@ class TestMonteCarloThreads:
         assert mc_symmetry_test(mu, mu, neg_alpha(x3), n_samples=1000, seed=3).passed
         assert threading.active_count() == before
 
-    def test_timings_are_left_out_of_equality(self):
-        mu1, mu2, alpha = z3z5_pair()
-        a = mc_symmetry_test(mu1, mu2, alpha, 2000, seed=1)
-        b = mc_symmetry_test(mu1, mu2, alpha, 2000, seed=1)
-        assert set(a.timings) == {"sample_s", "probe_s"}
-        assert all(v >= 0.0 for v in a.timings.values())
-        assert a == b
-        assert "timings" not in repr(a)
+    def test_invalid_mu1_raises_before_the_worker_starts(self, x3, monkeypatch):
+        good = AtomicSignedMeasure.from_terms(x3, [(1.0, 1.0, 0.0, 0, (0,))])
+        daemon = []
+
+        def recording(mu, rng, count):
+            daemon.append(threading.current_thread().daemon)
+            return sample_arrays(mu, rng, count)
+
+        monkeypatch.setattr("heyde.symmetry.sample_arrays", recording)
+        for bad in ("signed", "empty"):
+            exc_type, message = ERRORS[bad]
+            with pytest.raises(exc_type, match=message):
+                mc_symmetry_test(failing_measures(x3)[bad], good, neg_alpha(x3), n_samples=1)
+        assert daemon == []
+        mc_symmetry_test(good, good, neg_alpha(x3), n_samples=10)
+        # the caller's draw and the worker's, which is a daemon thread
+        assert sorted(daemon) == [False, True]
 
 
 class TestMcWorst:
