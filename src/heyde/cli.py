@@ -25,7 +25,6 @@ from .measures import (
     density_profile,
     dirac,
     is_distribution,
-    sample_arrays,
 )
 from .structure import (
     DecompositionError,
@@ -36,6 +35,7 @@ from .structure import (
     rigidity_decision,
 )
 from .symmetry import SGrid, equation_residual_report, joint_law_report, mc_symmetry_test
+from .symmetry import _sample_pair
 from .theta import ThetaParams, is_in_theta, rho_extremal, theta_to_measure, theta_verdict
 
 EXIT_OK = 0
@@ -173,11 +173,14 @@ def _emit(args, report: dict) -> None:
         _atomic_write(args.json, text)
 
 
-def _emit_csv(path: str | None, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row))
-    text = "\n".join(lines) + "\n"
+def _emit_csv(path: str | None, header: list[str], columns) -> None:
+    """Write one CSV column per header name: floats as %.17g, integers as
+    they are."""
+    cells = []
+    for col in map(np.asarray, columns):
+        fmt = "{:.17g}".format if col.dtype.kind == "f" else str
+        cells.append(map(fmt, col.tolist()))
+    text = "\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n"
     if path:
         _atomic_write(path, text)
     else:
@@ -294,16 +297,11 @@ def cmd_simulate(args) -> int:
         },
     }
     if args.csv:
-        rows = []
-        for idx, mu in ((1, mu1), (2, mu2)):
-            rng = np.random.default_rng(
-                np.random.SeedSequence(args.seed).spawn(2)[idx - 1]
-            )
-            t, m, g = sample_arrays(mu, rng, min(args.samples, 100_000))
-            for i in range(t.shape[0]):
-                rows.append([idx, float(t[i]), int(m[i]), *[int(v) for v in g[i]]])
+        # the first draws of the test's two streams, on two threads
+        count = min(args.samples, 100_000)
+        t, m, g = (np.concatenate(cols) for cols in zip(*_sample_pair(mu1, mu2, args.seed, count)))
         header = ["measure", "t", "m"] + [f"g{k}" for k in range(group.G.rank)]
-        _emit_csv(args.csv, header, rows)
+        _emit_csv(args.csv, header, [np.repeat([1, 2], count), t, m, *g.T])
     _emit(args, report)
     return EXIT_OK if mc.passed else EXIT_VIOLATED
 
@@ -321,12 +319,10 @@ def cmd_density_dump(args) -> int:
     lo = min(t.atom.shift for t in cont) - 10.0 * smax**0.5
     hi = max(t.atom.shift for t in cont) + 10.0 * smax**0.5
     ts = np.linspace(lo, hi, args.grid)
-    rows = []
-    for m, coords in sorted({(term.m, term.g.coords) for term in cont}):
-        dens, _ = density_profile(mu, m, coords, ts)
-        for t_val, d_val in zip(ts, dens):
-            rows.append([m, *coords, float(t_val), float(d_val)])
-    _emit_csv(args.csv, header, rows)
+    cosets = sorted({(term.m, term.g.coords) for term in cont})
+    dens = [density_profile(mu, m, coords, ts)[0] for m, coords in cosets]
+    keys = np.repeat(np.array([(m, *coords) for m, coords in cosets]), len(ts), axis=0)
+    _emit_csv(args.csv, header, [*keys.T, np.tile(ts, len(cosets)), np.concatenate(dens)])
     return EXIT_OK
 
 

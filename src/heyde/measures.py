@@ -505,11 +505,17 @@ _BLOCK = 1 << 16
 
 def _rejection_sample(cont: list[Term], rng: np.random.Generator, out: np.ndarray) -> None:
     """Fill out with draws from the coset's continuous part, by rejection
-    under its positive-part mixture inflated by 1.1."""
+    under its positive-part mixture inflated by 1.1.  A proposal is accepted
+    with probability p = (continuous mass) / (1.1 * positive mass), so a
+    round of (need + 4 sqrt(need) + 8) / p proposals, at most 10^6, almost
+    always suffices; components are drawn only for two or more positive
+    terms.  After 10^4 * (len(out) + 1) proposals it raises RuntimeError.
+    """
     need = len(out)
     pos = [t for t in cont if t.c > 0.0]
     w = np.array([t.c for t in pos])
     w_probs = w / w.sum()
+    accept_rate = sum(t.c for t in cont) / (1.1 * w.sum())
     scales = np.sqrt(2.0 * np.array([t.atom.sigma for t in pos]))
     shifts = np.array([t.atom.shift for t in pos])
     # each term's density in RealAtom.density's order of operations, so that
@@ -522,20 +528,24 @@ def _rejection_sample(cont: list[Term], rng: np.random.Generator, out: np.ndarra
     proposed = 0
     cap = 10_000 * (need + 1)
     while got < need:
-        n_prop = min(max(2 * (need - got), 256), 1_000_000)
-        proposed += n_prop
-        if proposed > cap:
+        if proposed >= cap:
             raise RuntimeError("rejection sampling exceeded the retry cap")
-        # three draws per round, in this order and of these sizes: the
-        # samples at a seed depend on it
-        comp = rng.choice(len(pos), size=n_prop, p=w_probs)
+        left = need - got
+        n_prop = math.ceil(
+            min((left + 4.0 * math.sqrt(left) + 8.0) / accept_rate, 1_000_000, cap - proposed)
+        )
+        proposed += n_prop
+        # the draws per round, in this order and of these sizes: the samples
+        # at a seed depend on it
+        comp = rng.choice(len(pos), size=n_prop, p=w_probs) if len(pos) > 1 else None
         t = rng.standard_normal(n_prop)
         u = rng.random(n_prop)
         accept = np.empty(min(n_prop, _BLOCK), dtype=bool)
         d, dens, env = (np.empty(min(n_prop, _BLOCK)) for _ in range(3))
         for lo in range(0, n_prop, _BLOCK):
             blk = slice(lo, lo + _BLOCK)
-            tb, ub, cb = t[blk], u[blk], comp[blk]
+            tb, ub = t[blk], u[blk]
+            cb = 0 if comp is None else comp[blk]
             tb *= scales[cb]
             tb += shifts[cb]
             ab, db, densb, envb = (a[: len(tb)] for a in (accept, d, dens, env))

@@ -383,44 +383,46 @@ def _default_probe_pairs(
     return [(u, v) for u in singles for v in singles][1:]
 
 
-def _sample_pair(
-    mu1: AtomicSignedMeasure, mu2: AtomicSignedMeasure, seed: int, count: int
-) -> list[tuple[np.ndarray, ...]]:
-    """The (t, m, g) samples of xi_1 and xi_2, each from its own stream
-    spawned from seed.
-
-    xi_2 is drawn on one worker thread while the caller draws xi_1 (numpy's
-    generators and ufuncs release the GIL).  The streams are independent,
-    so the samples are the ones drawn one after the other.  The worker runs
-    in a copy of the caller's context, so numpy's error state carries over;
-    it is joined before any return or raise, and an exception raised in it
-    is raised here, after one raised while drawing xi_1.  mu1 is checked
-    before the worker starts, so an invalid mu1 raises without waiting for
-    xi_2; the worker is a daemon, so an interrupted join does not hold up
-    the interpreter's exit.
+def _on_two_threads(first, second) -> list:
+    """[first(), second()], second run on a daemon worker thread, in a copy
+    of the caller's context (numpy's error state carries over), while the
+    caller runs first; the two overlap where numpy releases the GIL.  The
+    worker is joined before any return or raise; its exception is raised
+    here, after one raised by first.
     """
-    _check_samplable(mu1)
-    rng1, rng2 = (np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2))
-    draws: list = [None, None]
+    results: list = [None, None]
     failure: list[BaseException] = []
 
-    def draw_second() -> None:
+    def run_second() -> None:
         try:
-            draws[1] = sample_arrays(mu2, rng2, count)
+            results[1] = second()
         except BaseException as exc:  # handed to the caller
             failure.append(exc)
 
     worker = threading.Thread(
-        target=contextvars.copy_context().run, args=(draw_second,), daemon=True
+        target=contextvars.copy_context().run, args=(run_second,), daemon=True
     )
     worker.start()
     try:
-        draws[0] = sample_arrays(mu1, rng1, count)
+        results[0] = first()
     finally:
         worker.join()
     if failure:
         raise failure[0]
-    return draws
+    return results
+
+
+def _sample_pair(
+    mu1: AtomicSignedMeasure, mu2: AtomicSignedMeasure, seed: int, count: int
+) -> list[tuple[np.ndarray, ...]]:
+    """The (t, m, g) samples of xi_1 and xi_2 from two independent streams
+    spawned from seed, drawn on two threads; mu1 is checked first, so an
+    invalid mu1 raises without waiting for xi_2."""
+    _check_samplable(mu1)
+    rng1, rng2 = (np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2))
+    return _on_two_threads(
+        lambda: sample_arrays(mu1, rng1, count), lambda: sample_arrays(mu2, rng2, count)
+    )
 
 
 def _probe_sums(
@@ -446,7 +448,9 @@ def _probe_sums(
     counts when s_u = 0 too), and a pair with s_u = 0 only the bin sums of
     cos(s_v T2) and sin(s_v T2).  The bin sums run once per distinct
     (s_u, s_v), and each probe pair then costs the occupied bins, at most
-    min(N, 2|G|^2).
+    min(N, 2|G|^2).  T1 and T2 are gathered on two threads; the trig and
+    bin sums run on two threads, each over the whole bins on its side of the
+    bin boundary nearest N/2, so each bin is still one reduceat segment.
     """
     (t1, m1, g1), (t2, m2, g2) = draws
     draws.clear()
@@ -459,12 +463,13 @@ def _probe_sums(
     # rounds far less than a running sum over a bin of 10^5 samples
     order = np.argsort(key, kind="stable")
     key = np.take(key, order)
-    T1 = np.take(t1 + t2, order)
-    T2 = np.take(t1 + alpha.a * t2, order)
+    T1, T2 = _on_two_threads(
+        lambda: np.take(t1 + t2, order), lambda: np.take(t1 + alpha.a * t2, order)
+    )
     del t1, t2, order
+    n = len(key)
     starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
-    bins = key[starts]
-    bin_coords = np.stack(np.unravel_index(bins, dims), axis=1)
+    bin_coords = np.stack(np.unravel_index(key[starts], dims), axis=1)
     bin_m, bin_g1, bin_g2 = np.split(bin_coords, [1, 1 + G.rank], axis=1)
     # finite parts of L1 and L2 per bin; the pairing is periodic in each
     bin_f1 = bin_g1 + bin_g2
@@ -481,36 +486,53 @@ def _probe_sums(
     qu, chi_u = finite_factors([u for u, _ in probes], bin_f1)
     qv, chi_v = finite_factors([v for _, v in probes], bin_f2)
 
-    def trig(s_values, T):
-        # (cos(s T), sin(s T)) in bin order per distinct nonzero s
-        return {s: (np.cos(s * T), np.sin(s * T)) for s in s_values if s != 0.0}
-
-    trig1 = trig({u.s for u, _ in probes}, T1)
-    trig2 = trig({v.s for _, v in probes}, T2)
-    del T1, T2
-
-    def bin_sum(weights: np.ndarray) -> np.ndarray:
-        return np.add.reduceat(weights, starts)
-
     groups: dict[tuple[float, float], list[int]] = {}
     for k, (u, v) in enumerate(probes):
         groups.setdefault((u.s, v.s), []).append(k)
-    sums = np.empty(len(probes), dtype=complex)
-    for (s_u, s_v), members in groups.items():
-        if s_v == 0.0:
-            a_sin = np.zeros(len(starts))
-            if s_u == 0.0:
-                a_cos = np.diff(starts, append=len(key)).astype(float)
+
+    def bin_sums(T1h: np.ndarray, T2h: np.ndarray, seg: np.ndarray) -> dict:
+        # (A_sin, A_cos) per (s_u, s_v) over whole bins starting at seg
+        def trig(s_values, T):
+            # (cos(s T), sin(s T)) in bin order per distinct nonzero s
+            return {s: (np.cos(s * T), np.sin(s * T)) for s in s_values if s != 0.0}
+
+        trig1 = trig({s_u for s_u, _ in groups}, T1h)
+        trig2 = trig({s_v for _, s_v in groups}, T2h)
+
+        def bin_sum(weights: np.ndarray) -> np.ndarray:
+            return np.add.reduceat(weights, seg)
+
+        out = {}
+        for s_u, s_v in groups:
+            if s_v == 0.0:
+                a_sin = np.zeros(len(seg))
+                if s_u == 0.0:
+                    a_cos = np.diff(seg, append=len(T1h)).astype(float)
+                else:
+                    cos_u, sin_u = trig1[s_u]
+                    a_cos = bin_sum(cos_u) + 1j * bin_sum(sin_u)
+            elif s_u == 0.0:
+                cos_v, sin_v = trig2[s_v]
+                a_sin, a_cos = bin_sum(sin_v), bin_sum(cos_v)
             else:
-                cos_u, sin_u = trig1[s_u]
-                a_cos = bin_sum(cos_u) + 1j * bin_sum(sin_u)
-        elif s_u == 0.0:
-            cos_v, sin_v = trig2[s_v]
-            a_sin, a_cos = bin_sum(sin_v), bin_sum(cos_v)
-        else:
-            (cos_u, sin_u), (cos_v, sin_v) = trig1[s_u], trig2[s_v]
-            a_sin = bin_sum(cos_u * sin_v) + 1j * bin_sum(sin_u * sin_v)
-            a_cos = bin_sum(cos_u * cos_v) + 1j * bin_sum(sin_u * cos_v)
+                (cos_u, sin_u), (cos_v, sin_v) = trig1[s_u], trig2[s_v]
+                a_sin = bin_sum(cos_u * sin_v) + 1j * bin_sum(sin_u * sin_v)
+                a_cos = bin_sum(cos_u * cos_v) + 1j * bin_sum(sin_u * cos_v)
+            out[s_u, s_v] = a_sin, a_cos
+        return out
+
+    bounds = np.append(starts, n)
+    j = int(np.argmin(np.abs(bounds - n / 2)))
+    mid = int(bounds[j])
+    low, high = _on_two_threads(
+        lambda: bin_sums(T1[:mid], T2[:mid], starts[:j]),
+        lambda: bin_sums(T1[mid:], T2[mid:], starts[j:] - mid),
+    )
+    del T1, T2
+
+    sums = np.empty(len(probes), dtype=complex)
+    for s_pair, members in groups.items():
+        a_sin, a_cos = (np.concatenate(halves) for halves in zip(low[s_pair], high[s_pair]))
         table = chi_u.T @ (a_sin[:, None] * chi_v.real + a_cos[:, None] * chi_v.imag)
         sums[members] = table[qu[members], qv[members]]
     return sums
@@ -536,13 +558,13 @@ def mc_symmetry_test(
     within a few multiples of the Monte Carlo scale 1/sqrt(n).  The report
     names the probe pair that attains the max: the first one within
     KEY_TOL of it, since conjugate probes can tie up to rounding.
-    Sampling costs O(N) per measure, and the two samples are drawn on two
-    threads, with the same result as drawn one after the other; the probe
-    stage costs one O(N) radix sort of the bin keys (a stable sort beyond
-    2|G|^2 = 2^16), O(N) per distinct nonzero s and per distinct (s_u, s_v)
-    other than (0, 0), and O(min(N, 2|G|^2)) per probe pair (see
-    _probe_sums).  A non-finite statistic, or n_samples < 1, raises
-    ValueError.
+    Sampling costs O(N) per measure (rejection makes about N / p proposals
+    on a continuous coset of acceptance rate p).  The probe stage costs one
+    O(N) radix sort of the bin keys (a stable sort beyond 2|G|^2 = 2^16),
+    O(N) per distinct nonzero s and per distinct (s_u, s_v) other than
+    (0, 0), and O(min(N, 2|G|^2)) per probe pair (see _probe_sums).  Both
+    stages run on two threads, and the result is bit for bit that of one
+    thread.  A non-finite statistic, or n_samples < 1, raises ValueError.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")

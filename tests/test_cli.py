@@ -2,9 +2,10 @@ import csv
 import json
 import math
 
+import numpy as np
 import pytest
 
-from heyde import decompose, mc_symmetry_test
+from heyde import AmbientGroup, AtomicSignedMeasure, decompose, mc_symmetry_test, sample_arrays
 from heyde.cli import EXIT_INVALID, EXIT_OK, EXIT_VIOLATED, main
 from conftest import standard_instance
 
@@ -283,6 +284,28 @@ class TestSimulate:
         assert rows[0] == ["measure", "t", "m", "g0"]
         assert len(rows) == 1 + 2 * 20000
         assert {r[0] for r in rows[1:]} == {"1", "2"}
+
+    def test_csv_matches_a_row_by_row_reference(self, tmp_path, capsys):
+        payload = generated_payload(tmp_path, capsys)
+        case = write_case(tmp_path, payload, "sim.json")
+        csv_path = tmp_path / "samples.csv"
+        code, _ = run(
+            capsys, ["simulate", case, "--samples", "300", "--seed", "4", "--csv", str(csv_path)]
+        )
+        assert code == EXIT_OK
+        # the same draws, formatted one row of Python values at a time
+        group = AmbientGroup.from_json(payload["group"])
+        lines = ["measure,t,m,g0"]
+        seeds = np.random.SeedSequence(4).spawn(2)
+        for idx, (name, seed) in enumerate(zip(("mu1", "mu2"), seeds), start=1):
+            mu = AtomicSignedMeasure.from_json(group, payload[name])
+            t, m, g = sample_arrays(mu, np.random.default_rng(seed), 300)
+            for i in range(300):
+                row = [idx, float(t[i]), int(m[i]), *[int(v) for v in g[i]]]
+                lines.append(
+                    ",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row)
+                )
+        assert csv_path.read_text() == "\n".join(lines) + "\n"
 
     def test_seed_changes_statistic(self, tmp_path, capsys):
         payload = generated_payload(tmp_path, capsys)

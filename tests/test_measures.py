@@ -20,6 +20,7 @@ from heyde import (
     support_in_annihilator,
     two_term_bound,
 )
+from heyde.measures import _rejection_sample
 from conftest import coset_density_min_oracle, distribution_oracle
 
 
@@ -304,7 +305,7 @@ class TestSampling:
                     (-0.25, 0.5, 0.0, 1, (2,)),
                 ],
                 3,
-                ("ef2626ae7ac9cec2", "0350c0baf79feac2", "0405174e57f8661b"),
+                ("0f622db6e9db908b", "b4ecd5eb6e764b38", "26fe013b236ef00f"),
                 id="negative_continuous",
             ),
             pytest.param(
@@ -329,7 +330,7 @@ class TestSampling:
                     (0.4, 1.2, -0.4, 0, (2, 4)),
                 ],
                 7,
-                ("626c62c186b6f9e6", "e6dba666cb9659c4", "1eb8479a6d1b6e30"),
+                ("5148d5cbb2ca73c6", "96142b0038d4a572", "11c0f4bb6fbda840"),
                 id="mixed_coset_z3z5",
             ),
         ],
@@ -360,6 +361,84 @@ class TestSampling:
         )
         emp = np.mean(phase)
         assert abs(emp - char_fn(mu, y)) < 0.01
+
+
+class RecordingRng:
+    """A numpy Generator that records the size of every draw."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.calls = []
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def recorded(*args, **kwargs):
+            self.calls.append((name, kwargs.get("size", args[0] if args else None)))
+            return method(*args, **kwargs)
+
+        return recorded
+
+
+# signed continuous cosets: (c, sigma, shift) terms, each a distribution
+SIGNED_COSETS = {
+    "one_positive": [(1.0, 1.0, 0.0), (-0.25, 0.5, 0.0)],
+    "two_positive": [(0.6, 1.0, -0.5), (0.5, 1.0, 1.0), (-0.1, 0.2, 0.0)],
+}
+
+
+class TestRejectionSample:
+    """_rejection_sample proposes (need + 4 sqrt(need) + 8) / p per round,
+    p the coset's acceptance rate, and draws components only when there are
+    two or more positive terms."""
+
+    def coset(self, x9, terms):
+        mu = AtomicSignedMeasure.from_terms(x9, [(c, s, t, 0, (0,)) for c, s, t in terms])
+        assert is_distribution(mu).is_yes
+        return list(mu.terms)
+
+    @pytest.mark.parametrize("name", sorted(SIGNED_COSETS))
+    def test_kolmogorov_smirnov_against_exact_coset_cdf(self, x9, name):
+        from scipy.stats import kstest, norm
+
+        terms = SIGNED_COSETS[name]
+        out = np.empty(50_000)
+        _rejection_sample(self.coset(x9, terms), np.random.default_rng(12), out)
+        mass = sum(c for c, _, _ in terms)
+
+        def cdf(t):
+            return sum(c * norm.cdf(t, loc=m, scale=math.sqrt(2 * s)) for c, s, m in terms) / mass
+
+        assert kstest(out, cdf).pvalue > 1e-3
+
+    @pytest.mark.parametrize("name", sorted(SIGNED_COSETS))
+    @pytest.mark.parametrize("need", [1, 37, 20_000])
+    def test_one_round_fills_a_coset_accepting_above_half(self, x9, name, need):
+        terms = self.coset(x9, SIGNED_COSETS[name])
+        pos_mass = sum(t.c for t in terms if t.c > 0.0)
+        rate = sum(t.c for t in terms) / (1.1 * pos_mass)
+        assert rate > 0.5
+        rng = RecordingRng(3)
+        out = np.full(need, np.nan)
+        _rejection_sample(terms, rng, out)
+        assert not np.isnan(out).any()
+        methods = [method for method, _ in rng.calls]
+        n_prop = math.ceil((need + 4.0 * math.sqrt(need) + 8.0) / rate)
+        if name == "one_positive":
+            assert methods == ["standard_normal", "random"]
+        else:
+            assert methods == ["choice", "standard_normal", "random"]
+        assert {size for _, size in rng.calls} == {n_prop}
+
+    def test_stuck_coset_still_hits_the_retry_cap(self, x9):
+        # a valid density of mass about 1e-6 under a positive part of mass 1
+        s = 1.0 - 1e-7
+        terms = self.coset(x9, [(1.0, 1.0, 0.0), (-(math.sqrt(s) - 1e-6), s, 0.0)])
+        rng = RecordingRng(2)
+        with pytest.raises(RuntimeError, match="retry cap"):
+            _rejection_sample(terms, rng, np.empty(3))
+        proposals = sum(size for method, size in rng.calls if method == "standard_normal")
+        assert proposals == 10_000 * (3 + 1)
 
 
 class TestSupportAndModulus:

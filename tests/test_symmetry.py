@@ -37,7 +37,14 @@ from heyde import (
     theta_to_measure,
 )
 from heyde.measures import order_two_measure, sample_arrays
-from heyde.symmetry import KEY_TOL, _cluster_labels, _default_probe_pairs, _probe_sums
+from heyde.finite_abelian import pairing
+from heyde.symmetry import (
+    KEY_TOL,
+    _cluster_labels,
+    _default_probe_pairs,
+    _on_two_threads,
+    _probe_sums,
+)
 from conftest import perturb_coefficient, standard_instance
 
 
@@ -211,13 +218,19 @@ def z3z5_pair():
     return mu1, mu2, neg_alpha(X, -2.0)
 
 
+def draw_pair(mu1, mu2, n_samples, seed):
+    """The (t, m, g) samples of mu1 and mu2 drawn one after the other on the
+    calling thread, from the streams mc_symmetry_test spawns from seed."""
+    seeds = np.random.SeedSequence(seed).spawn(2)
+    return [
+        sample_arrays(mu, np.random.default_rng(s), n_samples) for mu, s in zip((mu1, mu2), seeds)
+    ]
+
+
 def sequential_reference(mu1, mu2, alpha, n_samples, seed):
     """(statistic, worst index) with the two samples drawn one after the
     other on the calling thread."""
-    seeds = np.random.SeedSequence(seed).spawn(2)
-    draws = [
-        sample_arrays(mu, np.random.default_rng(s), n_samples) for mu, s in zip((mu1, mu2), seeds)
-    ]
+    draws = draw_pair(mu1, mu2, n_samples, seed)
     sums = np.abs(_probe_sums(alpha, draws, _default_probe_pairs(alpha.group, mu1, mu2)))
     top = sums.max()
     return 2.0 / n_samples * float(top), int(np.flatnonzero(sums >= top - KEY_TOL * top)[0])
@@ -324,6 +337,125 @@ class TestMonteCarloThreads:
         mc_symmetry_test(good, good, neg_alpha(x3), n_samples=10)
         # the caller's draw and the worker's, which is a daemon thread
         assert sorted(daemon) == [False, True]
+
+
+def one_thread_probe_sums(alpha, draws, probes):
+    """_probe_sums as it ran on one thread: the trig and the bin sums over
+    all samples at once.  The oracle for the two-thread probe stage."""
+    (t1, m1, g1), (t2, m2, g2) = draws
+    G = alpha.group.G
+    dims = (2,) + G.cyclic_orders * 2
+    key = np.ravel_multi_index((m1 ^ m2, *g1.T, *g2.T), dims)
+    key = key.astype(np.min_scalar_type(math.prod(dims) - 1))
+    order = np.argsort(key, kind="stable")
+    key = np.take(key, order)
+    T1 = np.take(t1 + t2, order)
+    T2 = np.take(t1 + alpha.a * t2, order)
+    starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+    bin_coords = np.stack(np.unravel_index(key[starts], dims), axis=1)
+    bin_m, bin_g1, bin_g2 = np.split(bin_coords, [1, 1 + G.rank], axis=1)
+    bin_f1 = bin_g1 + bin_g2
+    bin_f2 = bin_g1 + bin_g2 @ np.array(alpha.alpha_G.matrix, dtype=np.int64).T
+
+    def finite_factors(ys, bin_f):
+        columns = {}
+        index = [columns.setdefault((y.n, y.h.coords), len(columns)) for y in ys]
+        n = [c[0] for c in columns]
+        h = [c[1] for c in columns]
+        return np.array(index), pairing(G, bin_f, h, bin_m[:, 0], n)
+
+    qu, chi_u = finite_factors([u for u, _ in probes], bin_f1)
+    qv, chi_v = finite_factors([v for _, v in probes], bin_f2)
+
+    def trig(s_values, T):
+        return {s: (np.cos(s * T), np.sin(s * T)) for s in s_values if s != 0.0}
+
+    trig1 = trig({u.s for u, _ in probes}, T1)
+    trig2 = trig({v.s for _, v in probes}, T2)
+
+    def bin_sum(weights):
+        return np.add.reduceat(weights, starts)
+
+    groups = {}
+    for k, (u, v) in enumerate(probes):
+        groups.setdefault((u.s, v.s), []).append(k)
+    sums = np.empty(len(probes), dtype=complex)
+    for (s_u, s_v), members in groups.items():
+        if s_v == 0.0:
+            a_sin = np.zeros(len(starts))
+            if s_u == 0.0:
+                a_cos = np.diff(starts, append=len(key)).astype(float)
+            else:
+                cos_u, sin_u = trig1[s_u]
+                a_cos = bin_sum(cos_u) + 1j * bin_sum(sin_u)
+        elif s_u == 0.0:
+            cos_v, sin_v = trig2[s_v]
+            a_sin, a_cos = bin_sum(sin_v), bin_sum(cos_v)
+        else:
+            (cos_u, sin_u), (cos_v, sin_v) = trig1[s_u], trig2[s_v]
+            a_sin = bin_sum(cos_u * sin_v) + 1j * bin_sum(sin_u * sin_v)
+            a_cos = bin_sum(cos_u * cos_v) + 1j * bin_sum(sin_u * cos_v)
+        table = chi_u.T @ (a_sin[:, None] * chi_v.real + a_cos[:, None] * chi_v.imag)
+        sums[members] = table[qu[members], qv[members]]
+    return sums
+
+
+class TestProbeSumsThreads:
+    """The probe stage runs on two threads, each over its own run of whole
+    bins; the sums are those of the one-thread stage bit for bit."""
+
+    @pytest.mark.parametrize("n_samples", [1, 2, 20_000])
+    def test_bit_identical_to_one_thread(self, n_samples):
+        mu1, mu2, alpha = z3z5_pair()
+        probes = _default_probe_pairs(alpha.group, mu1, mu2)
+        draws = draw_pair(mu1, mu2, n_samples, seed=6)
+        expected = one_thread_probe_sums(alpha, draws, probes)
+        got = _probe_sums(alpha, list(draws), probes)
+        assert got.tobytes() == expected.tobytes()
+
+    def test_one_bin_leaves_one_half_empty(self, x3):
+        # every sample of both measures in the coset (0, 0): one bin
+        mu = AtomicSignedMeasure.from_terms(
+            x3, [(0.7, 1.0, 0.0, 0, (0,)), (0.3, 0.0, 0.4, 0, (0,))]
+        )
+        alpha = neg_alpha(x3, -2.0)
+        probes = _default_probe_pairs(x3, mu, mu)
+        draws = draw_pair(mu, mu, 5_000, seed=8)
+        expected = one_thread_probe_sums(alpha, draws, probes)
+        assert _probe_sums(alpha, list(draws), probes).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("in_worker", [False, True])
+    def test_error_in_either_half_reaches_the_caller(self, in_worker, monkeypatch):
+        mu1, mu2, alpha = z3z5_pair()
+        draws = draw_pair(mu1, mu2, 20_000, seed=6)
+        cos = np.cos
+
+        def failing_cos(*args, **kwargs):
+            # cos runs only in the halves; fail in one of them
+            if threading.current_thread().daemon == in_worker:
+                raise FloatingPointError("cos failed")
+            return cos(*args, **kwargs)
+
+        monkeypatch.setattr(np, "cos", failing_cos)
+        before = threading.active_count()
+        with pytest.raises(FloatingPointError, match="cos failed"):
+            _probe_sums(alpha, draws, _default_probe_pairs(alpha.group, mu1, mu2))
+        assert threading.active_count() == before
+
+    def test_both_failing_raise_the_callers_error(self):
+        def fail(message):
+            def run():
+                raise ValueError(message)
+
+            return run
+
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="first"):
+            _on_two_threads(fail("first"), fail("second"))
+        with pytest.raises(ValueError, match="second"):
+            _on_two_threads(lambda: 1, fail("second"))
+        assert _on_two_threads(lambda: 1, lambda: 2) == [1, 2]
+        assert threading.active_count() == before
 
 
 class TestMcWorst:
