@@ -9,11 +9,13 @@ violated or hypothesis infeasible, 2 = invalid input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
 import sys
 import tempfile
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -124,31 +126,37 @@ def _load_pair(args) -> tuple:
     return group, alpha, mu1, mu2
 
 
+_JSON_CONSTANTS = {True: "true", False: "false", None: "null"}
+
+
 def _format_json(value, indent: int = 0) -> str:
     """Deterministic JSON; floats at 17 significant digits, integral ones with ".0"."""
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        rows = [
-            f'{inner}{json.dumps(str(k))}: {_format_json(v, indent + 1)}'
-            for k, v in value.items()
-        ]
-        return "{\n" + ",\n".join(rows) + f"\n{pad}}}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        rows = [f"{inner}{_format_json(v, indent + 1)}" for v in value]
-        return "[\n" + ",\n".join(rows) + f"\n{pad}]"
-    if isinstance(value, bool) or value is None:
-        return json.dumps(value)
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
     if isinstance(value, (float, np.floating)):
         text = f"{float(value):.17g}"
         return text + ".0" if text.lstrip("-").isdigit() else text
-    return json.dumps(value)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, bool) or value is None:
+        return _JSON_CONSTANTS[value]
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, dict):
+        rows = [
+            f"{encode_basestring_ascii(str(k))}: {_format_json(v, indent + 1)}"
+            for k, v in value.items()
+        ]
+        brackets = "{}"
+    elif isinstance(value, (list, tuple)):
+        rows = [_format_json(v, indent + 1) for v in value]
+        brackets = "[]"
+    else:
+        return json.dumps(value)
+    if not rows:
+        return brackets
+    # each row follows a newline and the inner indent; the closing bracket
+    # follows a newline and this level's indent
+    inner = "\n" + "  " * (indent + 1)
+    return brackets[0] + inner + ("," + inner).join(rows) + inner[:-2] + brackets[1]
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -346,9 +354,13 @@ TOL = _checked(float, lambda v: math.isfinite(v) and v >= 0.0, "a finite number 
 SMAX = _checked(float, lambda v: math.isfinite(v) and v > 0.0, "a finite number > 0")
 SAMPLES = _checked(int, lambda v: v >= 1, "an integer >= 1")
 GRID = _checked(int, lambda v: v >= 2, "an integer >= 2")
+SEED = _checked(int, lambda v: v >= 0, "an integer >= 0")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built on first use and shared by every later
+    call in the process: parse_args keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="heyde",
         description="Symmetry-equation tooling on R x Z(2) x G: check, "
@@ -391,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="Monte Carlo conditional-symmetry test")
     add_common(p)
     p.add_argument("--samples", type=SAMPLES, default=100_000, metavar="N")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=SEED, default=0)
     p.add_argument("--csv", metavar="PATH", help="write sample draws as CSV")
     p.set_defaults(func=cmd_simulate)
 

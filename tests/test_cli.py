@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from heyde import AmbientGroup, AtomicSignedMeasure, decompose, mc_symmetry_test, sample_arrays
-from heyde.cli import EXIT_INVALID, EXIT_OK, EXIT_VIOLATED, main
+from heyde.cli import EXIT_INVALID, EXIT_OK, EXIT_VIOLATED, _format_json, build_parser, main
 from conftest import standard_instance
 
 GROUP = {"cyclic_orders": [3]}
@@ -452,6 +452,33 @@ class TestFormatting:
         code, out = run(capsys, ["check", path, "--smax", "2"])
         assert type(json.loads(out)["grid"]["smax"]) is float
 
+    def test_format_json_bytes_are_pinned(self):
+        # recorded from the formatter that called json.dumps per key, bool
+        # and None; every report keeps these bytes
+        value = {
+            "nested": {"list": [1, [2.5, {"t": (3, -4)}]], "tuple": (True, None)},
+            "empty": [{}, [], ()],
+            "flags": [True, False, None],
+            "numpy": [np.int64(-7), np.float64(0.1), np.float64(2.0)],
+            "floats": [3.0, -0.0, 1e300, -2.5e-8, 1e16, 123456789012345678.0],
+            7: "int key",
+            "text": 'say "hi" \\ café σ₂ \U0001d53c',
+        }
+        expected = (
+            '{\n  "nested": {\n    "list": [\n      1,\n      [\n        2.5,\n'
+            '        {\n          "t": [\n            3,\n            -4\n'
+            '          ]\n        }\n      ]\n    ],\n    "tuple": [\n      true,\n'
+            '      null\n    ]\n  },\n  "empty": [\n    {},\n    [],\n    []\n  ],\n'
+            '  "flags": [\n    true,\n    false,\n    null\n  ],\n  "numpy": [\n'
+            '    -7,\n    0.10000000000000001,\n    2.0\n  ],\n  "floats": [\n'
+            '    3.0,\n    -0.0,\n    1.0000000000000001e+300,\n'
+            '    -2.4999999999999999e-08,\n    10000000000000000.0,\n'
+            '    1.2345678901234568e+17\n  ],\n  "7": "int key",\n'
+            '  "text": "say \\"hi\\" \\\\ caf\\u00e9 \\u03c3\\u2082 \\ud835\\udd3c"\n}'
+        )
+        assert _format_json(value) == expected
+        assert json.loads(expected)["text"] == value["text"]
+
 
 class TestNonFiniteInput:
     """NaN and infinite numbers are invalid input (exit 2), never a pass."""
@@ -510,6 +537,7 @@ class TestNumericArguments:
             ["check", "--smax", "0"],
             ["simulate", "--samples", "0"],
             ["simulate", "--samples", "many"],
+            ["simulate", "--seed", "-5"],
             ["check", "--grid", "1"],
             ["check", "--grid", "0"],
             ["density-dump", "--grid", "0"],
@@ -528,6 +556,16 @@ class TestNumericArguments:
         assert f"argument {argv[1]}" in captured.err
         assert "Warning" not in captured.err
 
+    def test_negative_seed_is_refused_before_the_case_is_read(self, capsys):
+        # a missing case file would exit 2 with "cannot read case file"
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "/nonexistent/case.json", "--seed=-5"])
+        assert exc.value.code == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --seed: '-5' is not an integer >= 0" in captured.err
+        assert "cannot read case file" not in captured.err
+
     def test_library_refuses_bad_tol_and_sample_count(self):
         inst = standard_instance()
         for tol in (math.nan, -1.0, math.inf):
@@ -535,3 +573,40 @@ class TestNumericArguments:
                 decompose(inst.mu1, inst.mu2, inst.alpha, tol=tol)
         with pytest.raises(ValueError, match="n_samples"):
             mc_symmetry_test(inst.mu1, inst.mu2, inst.alpha, 0)
+
+
+class TestParserReuse:
+    """main parses with one parser per process; no call leaks into the next."""
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_check_options_do_not_leak(self, tmp_path, capsys):
+        case = write_case(tmp_path, generated_payload(tmp_path, capsys), "check.json")
+        _, out = run(capsys, ["check", case, "--grid", "9"])
+        assert json.loads(out)["method"] == "grid"
+        _, out = run(capsys, ["check", case])
+        report = json.loads(out)
+        assert report["method"] == "joint_law" and "grid" not in report
+
+    def test_simulate_defaults_do_not_leak(self, tmp_path, capsys):
+        case = write_case(tmp_path, generated_payload(tmp_path, capsys), "sim.json")
+        _, out = run(capsys, ["simulate", case, "--samples", "300", "--seed", "4"])
+        assert json.loads(out)["seed"] == 4
+        _, out = run(capsys, ["simulate", case])
+        report = json.loads(out)
+        assert report["seed"] == 0 and report["mc"]["n_samples"] == 100_000
+
+    def test_usage_error_leaves_the_parser_intact(self, tmp_path, capsys):
+        case = write_case(tmp_path, generated_payload(tmp_path, capsys), "check.json")
+        argv = ["check", case, "--smax", "2.0", "--tol", "1e-6"]
+        fresh = build_parser.__wrapped__()
+        args = fresh.parse_args(argv)
+        assert args.func(args) == EXIT_OK
+        expected = capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            main(["check", case, "--grid", "1"])
+        assert exc.value.code == EXIT_INVALID
+        capsys.readouterr()
+        assert vars(build_parser().parse_args(argv)) == vars(fresh.parse_args(argv))
+        assert run(capsys, argv) == (EXIT_OK, expected)
