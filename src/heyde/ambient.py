@@ -32,8 +32,6 @@ __all__ = [
     "XAutomorphism",
     "YAutomorphism",
     "pair",
-    "annihilator_of_real_line",
-    "real_z2_group",
 ]
 
 
@@ -83,11 +81,6 @@ class AmbientGroup:
     @classmethod
     def from_json(cls, data: dict) -> "AmbientGroup":
         return cls(FiniteAbelianGroup.from_json(data))
-
-
-def real_z2_group() -> AmbientGroup:
-    """R x Z(2) with a trivial finite part, for work on that subproduct."""
-    return AmbientGroup(FiniteAbelianGroup((1,)))
 
 
 @dataclass(frozen=True)
@@ -203,11 +196,3 @@ class YAutomorphism:
             self.group, self.a * other.a, self.alpha_H.compose(other.alpha_H)
         )
 
-
-def annihilator_of_real_line(group: AmbientGroup) -> list[XPoint]:
-    """The subgroup Z(2) x G of X, listed as points with t = 0."""
-    out = []
-    for m in (0, 1):
-        for g in group.G.elements():
-            out.append(XPoint(group, 0.0, m, g))
-    return out

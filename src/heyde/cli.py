@@ -318,16 +318,16 @@ def cmd_density_dump(args) -> int:
     case = _load_case(args.case)
     group = _parse_group(case)
     mu = _parse_measure(group, _require(case, "mu"))
-    cont = [t for t in mu.terms if t.atom.sigma > 0.0]
+    cont = mu.sigma > 0.0
     header = ["m"] + [f"g{k}" for k in range(group.G.rank)] + ["t", "density"]
-    if not cont:
+    if not cont.any():
         _emit_csv(args.csv, header, [])
         return EXIT_OK
-    smax = max(t.atom.sigma for t in cont)
-    lo = min(t.atom.shift for t in cont) - 10.0 * smax**0.5
-    hi = max(t.atom.shift for t in cont) + 10.0 * smax**0.5
+    smax = float(mu.sigma[cont].max())
+    lo = float(mu.shift[cont].min()) - 10.0 * smax**0.5
+    hi = float(mu.shift[cont].max()) + 10.0 * smax**0.5
     ts = np.linspace(lo, hi, args.grid)
-    cosets = sorted({(term.m, term.g.coords) for term in cont})
+    cosets = sorted(set(zip(mu.m[cont].tolist(), map(tuple, mu.g[cont].tolist()))))
     dens = [density_profile(mu, m, coords, ts)[0] for m, coords in cosets]
     keys = np.repeat(np.array([(m, *coords) for m, coords in cosets]), len(ts), axis=0)
     _emit_csv(args.csv, header, [*keys.T, np.tile(ts, len(cosets)), np.concatenate(dens)])

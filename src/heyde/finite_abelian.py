@@ -32,11 +32,7 @@ __all__ = [
     "eval_character",
     "pairing",
     "pairing_phase",
-    "order_of",
     "kernel_of_I_plus",
-    "restriction_is_minus_identity",
-    "is_subgroup",
-    "identity_automorphism",
     "negation_automorphism",
     "scalar_automorphism",
     "char_table",
@@ -223,11 +219,6 @@ def eval_character(h: DualCharacter, g: GroupElement) -> complex:
     return complex(pairing(g.group, g.coords, h.coords)[0, 0])
 
 
-def order_of(g: GroupElement) -> int:
-    """Order of g: lcm over coordinates of n_k / gcd(g_k, n_k)."""
-    return math.lcm(*(n // math.gcd(c, n) for c, n in zip(g.coords, g.group.cyclic_orders)))
-
-
 def char_table(group: FiniteAbelianGroup) -> np.ndarray:
     """Dense table T[i, j] = value of character j at element i, index order.
 
@@ -322,10 +313,6 @@ class GroupAutomorphism:
         return cls(group, tuple(tuple(row) for row in data["matrix"]))
 
 
-def identity_automorphism(group: FiniteAbelianGroup) -> GroupAutomorphism:
-    return scalar_automorphism(group, 1)
-
-
 def negation_automorphism(group: FiniteAbelianGroup) -> GroupAutomorphism:
     return scalar_automorphism(group, -1)
 
@@ -343,29 +330,3 @@ def kernel_of_I_plus(alpha: GroupAutomorphism) -> list[GroupElement]:
     coords = G.all_coords()
     sums = (coords + coords @ np.array(alpha.matrix, dtype=np.int64).T) % G.cyclic_orders
     return [G.element(c) for c in coords[~sums.any(axis=1)]]
-
-
-def is_subgroup(group: FiniteAbelianGroup, elements: Iterable[GroupElement]) -> bool:
-    elems = set()
-    for g in elements:
-        if g.group != group:
-            return False
-        elems.add(g.coords)
-    if (0,) * group.rank not in elems:
-        return False
-    for a in elems:
-        for b in elems:
-            s = tuple((x + y) % n for x, y, n in zip(a, b, group.cyclic_orders))
-            if s not in elems:
-                return False
-    return True
-
-
-def restriction_is_minus_identity(
-    alpha: GroupAutomorphism, subgroup: Iterable[GroupElement]
-) -> bool:
-    """True iff alpha(g) = -g for every g of the given subgroup."""
-    elems = list(subgroup)
-    if not is_subgroup(alpha.group, elems):
-        raise ValueError("the provided elements do not form a subgroup")
-    return all(alpha(g) == -g for g in elems)

@@ -11,7 +11,9 @@ and characteristic function exp(-sigma*s**2 + i*shift*s); sigma = 0 is the
 point mass at the shift.  The variance of the sigma-Gaussian is 2*sigma.
 Convolution is termwise: coefficients multiply, sigmas and shifts add, and
 finite coordinates add.  Canonical form merges terms whose (sigma, shift,
-m, g) keys match exactly and drops coefficients within 1e-14 of zero.
+m, g) keys match exactly, drops coefficients within 1e-14 of zero and
+sorts the rest by key.  A measure stores its canonical terms as read-only
+columns; this module alone reads that layout or the Term view of it.
 char_values is the one evaluator of characteristic functions; every other
 evaluation in the package is a call to it or to the pairing kernel.
 """
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -42,9 +45,7 @@ __all__ = [
     "is_distribution",
     "sample",
     "sample_arrays",
-    "support_in_annihilator",
     "max_modulus_check",
-    "measures_close",
 ]
 
 # canonical form drops coefficients of modulus at most DROP_TOL; a density,
@@ -62,20 +63,6 @@ class RealAtom:
     sigma: float
     shift: float
 
-    def __post_init__(self) -> None:
-        if self.sigma < 0:
-            raise ValueError(f"sigma must be >= 0, got {self.sigma}")
-        object.__setattr__(self, "sigma", float(self.sigma))
-        object.__setattr__(self, "shift", float(self.shift))
-
-    def density(self, t):
-        """Continuous density; only defined for sigma > 0."""
-        if self.sigma == 0:
-            raise ValueError("point atom has no continuous density")
-        return np.exp(-((t - self.shift) ** 2) / (4.0 * self.sigma)) / (
-            2.0 * math.sqrt(math.pi * self.sigma)
-        )
-
 
 @dataclass(frozen=True)
 class Term:
@@ -84,14 +71,20 @@ class Term:
     m: int
     g: GroupElement
 
-    def key(self) -> tuple:
-        return (self.atom.sigma, self.atom.shift, self.m, self.g.coords)
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AtomicSignedMeasure:
+    """A measure in canonical form, stored as read-only columns, one row
+    per term in canonical order: c, sigma, shift (float64), m (int64) and
+    g (int64, shape (U, rank)).  terms is the same content as Term objects.
+    """
+
     group: AmbientGroup
-    terms: tuple[Term, ...]
+    c: np.ndarray
+    sigma: np.ndarray
+    shift: np.ndarray
+    m: np.ndarray
+    g: np.ndarray
 
     @classmethod
     def from_terms(
@@ -102,40 +95,60 @@ class AtomicSignedMeasure:
         """Build from (c, sigma, shift, m, g) tuples, canonicalizing: equal
         atoms merge, and merged coefficients of modulus at most DROP_TOL go.
 
-        NaN or infinite c, sigma or shift raise ValueError.
+        NaN or infinite c, sigma or shift, sigma < 0 and g of another group
+        raise ValueError.
         """
-        merged: dict[tuple, float] = {}
-        for c, sigma, shift, m, g in terms:
-            c, sigma, shift = float(c), float(sigma), float(shift)
-            if not (math.isfinite(c) and math.isfinite(sigma) and math.isfinite(shift)):
-                raise ValueError(f"non-finite term: c={c}, sigma={sigma}, shift={shift}")
-            gg = g if isinstance(g, GroupElement) else group.G.element(g)
-            if gg.group != group.G:
-                raise ValueError("finite coordinate belongs to a different group")
-            key = (sigma, shift, int(m) % 2, gg.coords)
-            merged[key] = merged.get(key, 0.0) + c
-        out = []
-        for (sigma, shift, m, coords), c in merged.items():
-            if abs(c) <= DROP_TOL:
-                continue
-            out.append(Term(c, RealAtom(sigma, shift), m, group.G.element(coords)))
-        out.sort(key=Term.key)
-        return cls(group, tuple(out))
+        G = group.G
 
-    def _rebuild(self, terms) -> "AtomicSignedMeasure":
-        return AtomicSignedMeasure.from_terms(
-            self.group, ((t.c, t.atom.sigma, t.atom.shift, t.m, t.g) for t in terms)
+        def rows():
+            for c, sigma, shift, m, g in terms:
+                gg = g if isinstance(g, GroupElement) else G.element(g)
+                if gg.group != G:
+                    raise ValueError("finite coordinate belongs to a different group")
+                yield float(c), float(sigma), float(shift), int(m) % 2, gg.coords
+
+        return _canonical(group, rows())
+
+    def _rows(self):
+        """(c, sigma, shift, m, coords) per term, as Python scalars."""
+        return zip(
+            self.c.tolist(),
+            self.sigma.tolist(),
+            self.shift.tolist(),
+            self.m.tolist(),
+            map(tuple, self.g.tolist()),
         )
+
+    @cached_property
+    def terms(self) -> tuple[Term, ...]:
+        """The canonical terms as Term objects, built on first access."""
+        G = self.group.G
+        return tuple(
+            Term(c, RealAtom(sigma, shift), m, GroupElement(G, coords))
+            for c, sigma, shift, m, coords in self._rows()
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, AtomicSignedMeasure):
+            return NotImplemented
+        return self.group == other.group and all(
+            np.array_equal(a, b)
+            for a, b in zip(
+                (self.c, self.sigma, self.shift, self.m, self.g),
+                (other.c, other.sigma, other.shift, other.m, other.g),
+            )
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.group, tuple(self.c.tolist())))
 
     def __add__(self, other: "AtomicSignedMeasure") -> "AtomicSignedMeasure":
         if other.group != self.group:
             raise ValueError("measures live on different groups")
-        return self._rebuild(self.terms + other.terms)
+        return _canonical(self.group, [*self._rows(), *other._rows()])
 
     def __mul__(self, c: float) -> "AtomicSignedMeasure":
-        return AtomicSignedMeasure.from_terms(
-            self.group, ((t.c * c, t.atom.sigma, t.atom.shift, t.m, t.g) for t in self.terms)
-        )
+        return _canonical(self.group, ((w * c, *rest) for w, *rest in self._rows()))
 
     __rmul__ = __mul__
 
@@ -143,14 +156,7 @@ class AtomicSignedMeasure:
         return convolve(self, other)
 
     def total_mass(self) -> float:
-        return sum(t.c for t in self.terms)
-
-    def cosets(self) -> dict[tuple[int, tuple[int, ...]], list[Term]]:
-        """Terms grouped by finite coordinates (m, g)."""
-        out: dict[tuple[int, tuple[int, ...]], list[Term]] = {}
-        for t in self.terms:
-            out.setdefault((t.m, t.g.coords), []).append(t)
-        return out
+        return sum(self.c.tolist())
 
     def shifted(self, x: XPoint) -> "AtomicSignedMeasure":
         """Convolution with the point mass at x."""
@@ -159,25 +165,17 @@ class AtomicSignedMeasure:
     @property
     def is_finite_supported(self) -> bool:
         """True iff all atoms sit at t = 0, i.e. support inside Z(2) x G."""
-        return all(t.atom.sigma == 0.0 and t.atom.shift == 0.0 for t in self.terms)
+        return not (self.sigma.any() or self.shift.any())
 
     @property
     def has_continuous_part(self) -> bool:
-        return any(t.atom.sigma > 0.0 for t in self.terms)
-
-    def finite_masses(self) -> dict[tuple[int, tuple[int, ...]], float]:
-        """Mass per finite coset, ignoring where it sits on R."""
-        out: dict[tuple[int, tuple[int, ...]], float] = {}
-        for t in self.terms:
-            key = (t.m, t.g.coords)
-            out[key] = out.get(key, 0.0) + t.c
-        return out
+        return bool((self.sigma > 0.0).any())
 
     def to_json(self) -> dict:
         return {
             "terms": [
-                {"c": t.c, "sigma": t.atom.sigma, "shift": t.atom.shift, "m": t.m, "g": list(t.g.coords)}
-                for t in self.terms
+                {"c": c, "sigma": sigma, "shift": shift, "m": m, "g": list(coords)}
+                for c, sigma, shift, m, coords in self._rows()
             ]
         }
 
@@ -189,26 +187,63 @@ class AtomicSignedMeasure:
         )
 
 
+def _canonical(group: AmbientGroup, rows) -> AtomicSignedMeasure:
+    """The canonical measure of (c, sigma, shift, m, coords) rows of Python
+    scalars, m in {0, 1} and coords reduced.
+
+    Rows with equal (sigma, shift, m, coords) keys merge: a dict sums their
+    coefficients in row order from 0.0 (0.0 and -0.0 keys are one key, the
+    first seen kept).  Sums of modulus at most DROP_TOL go, and the rest
+    are sorted by key.  NaN or infinite values and sigma < 0 raise
+    ValueError.
+    """
+    merged: dict[tuple, float] = {}
+    for c, sigma, shift, m, coords in rows:
+        if not (math.isfinite(c) and math.isfinite(sigma) and math.isfinite(shift)):
+            raise ValueError(f"non-finite term: c={c}, sigma={sigma}, shift={shift}")
+        if sigma < 0.0:
+            raise ValueError(f"sigma must be >= 0, got {sigma}")
+        key = (sigma, shift, m, coords)
+        merged[key] = merged.get(key, 0.0) + c
+    kept = sorted(item for item in merged.items() if abs(item[1]) > DROP_TOL)
+    keys = [key for key, _ in kept]
+    columns = (
+        np.array([c for _, c in kept], dtype=float),
+        np.array([key[0] for key in keys], dtype=float),
+        np.array([key[1] for key in keys], dtype=float),
+        np.array([key[2] for key in keys], dtype=np.int64),
+        np.array([key[3] for key in keys], dtype=np.int64).reshape(len(keys), group.G.rank),
+    )
+    for column in columns:
+        column.flags.writeable = False
+    return AtomicSignedMeasure(group, *columns)
+
+
 def dirac(x: XPoint) -> AtomicSignedMeasure:
     return AtomicSignedMeasure.from_terms(x.group, [(1.0, 0.0, x.t, x.m, x.g)])
 
 
 def convolve(mu: AtomicSignedMeasure, nu: AtomicSignedMeasure) -> AtomicSignedMeasure:
+    """Termwise product, rows mu-major: coefficients multiply, sigmas,
+    shifts and finite coordinates add."""
     if mu.group != nu.group:
         raise ValueError("measures live on different groups")
-    raw = []
-    for t1 in mu.terms:
-        for t2 in nu.terms:
-            raw.append(
-                (
-                    t1.c * t2.c,
-                    t1.atom.sigma + t2.atom.sigma,
-                    t1.atom.shift + t2.atom.shift,
-                    (t1.m + t2.m) % 2,
-                    t1.g + t2.g,
-                )
-            )
-    return AtomicSignedMeasure.from_terms(mu.group, raw)
+    G = mu.group.G
+    # an overflowing product or sum is refused by the canonicalizer
+    with np.errstate(over="ignore"):
+        c = np.multiply.outer(mu.c, nu.c)
+        sigma = np.add.outer(mu.sigma, nu.sigma)
+        shift = np.add.outer(mu.shift, nu.shift)
+    m = np.add.outer(mu.m, nu.m) % 2
+    g = (mu.g[:, None, :] + nu.g[None, :, :]) % np.array(G.cyclic_orders)
+    rows = zip(
+        c.ravel().tolist(),
+        sigma.ravel().tolist(),
+        shift.ravel().tolist(),
+        m.ravel().tolist(),
+        map(tuple, g.reshape(-1, G.rank).tolist()),
+    )
+    return _canonical(mu.group, rows)
 
 
 def order_two_measure(group: AmbientGroup, d: float) -> AtomicSignedMeasure:
@@ -240,10 +275,13 @@ def char_values(mu: AtomicSignedMeasure, s, n=None, h=None) -> np.ndarray:
     s = np.atleast_1d(s)
     atoms: dict[tuple[float, float], int] = {}
     slots: dict[tuple[int, tuple[int, ...]], int] = {}
-    rows = [atoms.setdefault((t.atom.sigma, t.atom.shift), len(atoms)) for t in mu.terms]
-    cols = [slots.setdefault((t.m, t.g.coords), len(slots)) for t in mu.terms]
+    rows = [atoms.setdefault(key, len(atoms)) for key in zip(mu.sigma.tolist(), mu.shift.tolist())]
+    cols = [
+        slots.setdefault(key, len(slots))
+        for key in zip(mu.m.tolist(), map(tuple, mu.g.tolist()))
+    ]
     weights = np.zeros((len(atoms), len(slots)))
-    weights[rows, cols] = [t.c for t in mu.terms]  # canonical terms: no repeats
+    weights[rows, cols] = mu.c  # canonical terms: no repeats
     finite = pairing(G, [g for _, g in slots], h, [m for m, _ in slots], np.atleast_1d(n))
     table = weights @ finite
     sigmas = np.array([key[0] for key in atoms])
@@ -259,6 +297,21 @@ def char_fn(mu: AtomicSignedMeasure, y: YPoint) -> complex:
     return complex(char_values(mu, y.s, [y.n], [y.h.coords])[0, 0])
 
 
+def _cosets(mu: AtomicSignedMeasure) -> list[tuple[tuple[int, tuple[int, ...]], list]]:
+    """Each finite coset (m, g) of mu in sorted order, with its (c, sigma,
+    shift) rows as Python floats in canonical order."""
+    out: dict[tuple[int, tuple[int, ...]], list] = {}
+    for c, sigma, shift, m, coords in mu._rows():
+        out.setdefault((m, coords), []).append((c, sigma, shift))
+    return sorted(out.items())
+
+
+def _density(sigma: float, shift: float, t):
+    """rho_(sigma, shift) at t for sigma > 0, in one fixed order of
+    operations, so that every caller gets the same bits."""
+    return np.exp(-((t - shift) ** 2) / (4.0 * sigma)) / (2.0 * math.sqrt(math.pi * sigma))
+
+
 def density_profile(
     mu: AtomicSignedMeasure, m: int, g, t
 ) -> tuple[np.ndarray | float, list[tuple[float, float]]]:
@@ -271,11 +324,11 @@ def density_profile(
     key = (int(m) % 2, gg.coords)
     dens = np.zeros_like(np.asarray(t, dtype=float))
     points: list[tuple[float, float]] = []
-    for term in mu.cosets().get(key, []):
-        if term.atom.sigma == 0.0:
-            points.append((term.atom.shift, term.c))
+    for c, sigma, shift in dict(_cosets(mu)).get(key, []):
+        if sigma == 0.0:
+            points.append((shift, c))
         else:
-            dens = dens + term.c * term.atom.density(np.asarray(t, dtype=float))
+            dens = dens + c * _density(sigma, shift, np.asarray(t, dtype=float))
     if np.isscalar(t):
         return float(dens), points
     return dens, points
@@ -328,26 +381,29 @@ def _golden_min(f, lo: float, hi: float, iters: int = 80) -> tuple[float, float]
     return t, f(t)
 
 
-def _coset_continuous_min(cont: list[Term], tol: float) -> tuple[float, float]:
-    """(argmin, min value) of the coset's continuous density, numerically.
+def _coset_continuous_min(
+    cont: list[tuple[float, float, float]], tol: float
+) -> tuple[float, float]:
+    """(argmin, min value) of the continuous density of a coset's (c,
+    sigma, shift) rows, numerically.
 
     Grid plus golden-section refinement; the tail sign is settled by the
     extreme-shift coefficients among the largest-sigma atoms, which dominate
     as t -> +-inf.
     """
-    sig_max = max(t.atom.sigma for t in cont)
-    tail = [t for t in cont if t.atom.sigma == sig_max]
-    right = max(tail, key=lambda t: t.atom.shift)
-    left = min(tail, key=lambda t: t.atom.shift)
-    shifts = [t.atom.shift for t in cont]
+    sig_max = max(sigma for _, sigma, _ in cont)
+    tail = [row for row in cont if row[1] == sig_max]
+    right = max(tail, key=lambda row: row[2])
+    left = min(tail, key=lambda row: row[2])
+    shifts = [shift for _, _, shift in cont]
     lo = min(shifts) - 10.0 * math.sqrt(sig_max)
     hi = max(shifts) + 10.0 * math.sqrt(sig_max)
 
     def dens(t):
-        return sum(term.c * term.atom.density(t) for term in cont)
+        return sum(c * _density(sigma, shift, t) for c, sigma, shift in cont)
 
-    for term, direction in ((right, +1.0), (left, -1.0)):
-        if term.c < 0.0:
+    for (c, _, _), direction in ((right, +1.0), (left, -1.0)):
+        if c < 0.0:
             # density goes negative far out on this side; locate a witness
             base = hi if direction > 0 else lo
             step = direction * math.sqrt(sig_max)
@@ -359,8 +415,8 @@ def _coset_continuous_min(cont: list[Term], tol: float) -> tuple[float, float]:
 
     grid = np.linspace(lo, hi, 4096)
     vals = np.zeros_like(grid)
-    for term in cont:
-        vals += term.c * term.atom.density(grid)
+    for c, sigma, shift in cont:
+        vals += c * _density(sigma, shift, grid)
     j = int(np.argmin(vals))
     a = grid[max(j - 1, 0)]
     b = grid[min(j + 1, len(grid) - 1)]
@@ -381,44 +437,45 @@ def is_distribution(mu: AtomicSignedMeasure, tol: float = NONNEG_TOL) -> Distrib
     """
     boundary_seen = False
     worst = math.inf
-    for (m, coords), terms in sorted(mu.cosets().items()):
-        for t in terms:
-            if t.atom.sigma == 0.0:
-                if t.c < -tol:
-                    return DistributionVerdict("no", (m, coords, t.atom.shift), t.c)
-                if t.c < 0.0:
+    for (m, coords), rows in _cosets(mu):
+        for c, sigma, shift in rows:
+            if sigma == 0.0:
+                if c < -tol:
+                    return DistributionVerdict("no", (m, coords, shift), c)
+                if c < 0.0:
                     boundary_seen = True
-                    worst = min(worst, t.c)
-        cont = [t for t in terms if t.atom.sigma > 0.0]
+                    worst = min(worst, c)
+        cont = [row for row in rows if row[1] > 0.0]
         if not cont:
             continue
-        pos = [t for t in cont if t.c > 0.0]
-        neg = [t for t in cont if t.c < 0.0]
+        pos = [row for row in cont if row[0] > 0.0]
+        neg = [row for row in cont if row[0] < 0.0]
         if not neg:
             continue
         if not pos:
-            t0 = max(neg, key=lambda t: abs(t.c))
-            return DistributionVerdict("no", (m, coords, t0.atom.shift), t0.c)
+            c0, _, shift0 = max(neg, key=lambda row: abs(row[0]))
+            return DistributionVerdict("no", (m, coords, shift0), c0)
         if len(cont) == 2:
-            p, q = pos[0], neg[0]
-            if q.atom.sigma >= p.atom.sigma:
+            (cp, sp, tp), (cq, sq, tq) = pos[0], neg[0]
+
+            def two_term_density(t):
+                return cp * _density(sp, tp, t) + cq * _density(sq, tq, t)
+
+            if sq >= sp:
                 # the negative Gaussian dominates at least one tail
-                sig = q.atom.sigma
-                off = 1.0 if q.atom.shift >= p.atom.shift else -1.0
-                t_far = q.atom.shift + off * 12.0 * math.sqrt(sig)
-                val = p.c * p.atom.density(t_far) + q.c * q.atom.density(t_far)
+                off = 1.0 if tq >= tp else -1.0
+                t_far = tq + off * 12.0 * math.sqrt(sq)
+                val = two_term_density(t_far)
                 k = 12.0
                 while val >= -tol and k < 2000.0:
                     k *= 2.0
-                    t_far = q.atom.shift + off * k * math.sqrt(sig)
-                    val = p.c * p.atom.density(t_far) + q.c * q.atom.density(t_far)
+                    t_far = tq + off * k * math.sqrt(sq)
+                    val = two_term_density(t_far)
                 return DistributionVerdict("no", (m, coords, t_far), val)
-            bound = two_term_bound(p.atom.sigma, p.atom.shift, q.atom.sigma, q.atom.shift)
-            t_star = (p.atom.sigma * q.atom.shift - q.atom.sigma * p.atom.shift) / (
-                p.atom.sigma - q.atom.sigma
-            )
+            bound = two_term_bound(sp, tp, sq, tq)
+            t_star = (sp * tq - sq * tp) / (sp - sq)
             # density at the ratio minimizer: rho_q(t*) * (c_pos*bound - |c_neg|)
-            val = q.atom.density(t_star) * (p.c * bound - abs(q.c))
+            val = _density(sq, tq, t_star) * (cp * bound - abs(cq))
             if val < -tol:
                 return DistributionVerdict("no", (m, coords, t_star), val)
             if val <= tol:
@@ -455,8 +512,8 @@ def sample_arrays(
     the positive-part mixture inflated by 1.1.
     """
     _check_samplable(mu)
-    cosets = sorted(mu.cosets().items())
-    masses = np.array([max(sum(t.c for t in terms), 0.0) for _, terms in cosets])
+    cosets = _cosets(mu)
+    masses = np.array([max(sum(c for c, _, _ in rows), 0.0) for _, rows in cosets])
     probs = masses / masses.sum()
     counts = rng.multinomial(count, probs)
 
@@ -465,16 +522,16 @@ def sample_arrays(
     t_out = np.empty(count, dtype=float)
     c_out = np.empty(count, dtype=np.min_scalar_type(len(cosets)))
     pos0 = 0
-    for k, ((_, terms), need) in enumerate(zip(cosets, counts)):
+    for k, ((_, rows), need) in enumerate(zip(cosets, counts)):
         if need == 0:
             continue
         sl = slice(pos0, pos0 + need)
         pos0 += need
         c_out[sl] = k
-        points = [(t.atom.shift, t.c) for t in terms if t.atom.sigma == 0.0]
-        cont = [t for t in terms if t.atom.sigma > 0.0]
+        points = [(shift, c) for c, sigma, shift in rows if sigma == 0.0]
+        cont = [row for row in rows if row[1] > 0.0]
         p_mass = sum(max(c, 0.0) for _, c in points)
-        c_mass = sum(t.c for t in cont)
+        c_mass = sum(c for c, _, _ in cont)
         coset_mass = p_mass + c_mass
         n_point = rng.binomial(need, p_mass / coset_mass) if cont and points else (
             need if points else 0
@@ -503,8 +560,11 @@ def sample_arrays(
 _BLOCK = 1 << 16
 
 
-def _rejection_sample(cont: list[Term], rng: np.random.Generator, out: np.ndarray) -> None:
-    """Fill out with draws from the coset's continuous part, by rejection
+def _rejection_sample(
+    cont: list[tuple[float, float, float]], rng: np.random.Generator, out: np.ndarray
+) -> None:
+    """Fill out with draws from a coset's continuous part, its (c, sigma,
+    shift) rows, by rejection
     under its positive-part mixture inflated by 1.1.  A proposal is accepted
     with probability p = (continuous mass) / (1.1 * positive mass), so a
     round of (need + 4 sqrt(need) + 8) / p proposals, at most 10^6, almost
@@ -512,17 +572,14 @@ def _rejection_sample(cont: list[Term], rng: np.random.Generator, out: np.ndarra
     terms.  After 10^4 * (len(out) + 1) proposals it raises RuntimeError.
     """
     need = len(out)
-    pos = [t for t in cont if t.c > 0.0]
-    w = np.array([t.c for t in pos])
+    w, sigmas, shifts = (np.array(col) for col in zip(*(row for row in cont if row[0] > 0.0)))
     w_probs = w / w.sum()
-    accept_rate = sum(t.c for t in cont) / (1.1 * w.sum())
-    scales = np.sqrt(2.0 * np.array([t.atom.sigma for t in pos]))
-    shifts = np.array([t.atom.shift for t in pos])
-    # each term's density in RealAtom.density's order of operations, so that
-    # every acceptance decision is the same bit for bit
+    accept_rate = sum(c for c, _, _ in cont) / (1.1 * w.sum())
+    scales = np.sqrt(2.0 * sigmas)
+    # each term's density in _density's order of operations, so that every
+    # acceptance decision is the same bit for bit
     consts = [
-        (t.c, t.atom.shift, -4.0 * t.atom.sigma, 2.0 * math.sqrt(math.pi * t.atom.sigma))
-        for t in cont
+        (c, shift, -4.0 * sigma, 2.0 * math.sqrt(math.pi * sigma)) for c, sigma, shift in cont
     ]
     got = 0
     proposed = 0
@@ -537,7 +594,7 @@ def _rejection_sample(cont: list[Term], rng: np.random.Generator, out: np.ndarra
         proposed += n_prop
         # the draws per round, in this order and of these sizes: the samples
         # at a seed depend on it
-        comp = rng.choice(len(pos), size=n_prop, p=w_probs) if len(pos) > 1 else None
+        comp = rng.choice(len(w), size=n_prop, p=w_probs) if len(w) > 1 else None
         t = rng.standard_normal(n_prop)
         u = rng.random(n_prop)
         accept = np.empty(min(n_prop, _BLOCK), dtype=bool)
@@ -585,39 +642,6 @@ def sample(mu: AtomicSignedMeasure, seed: int, count: int) -> list[XPoint]:
     ]
 
 
-def _subgroup_sample(generators: Sequence[YPoint], multiples: int) -> list[YPoint]:
-    out: list[YPoint] = []
-    for gen in generators:
-        y = gen
-        for _ in range(multiples):
-            out.append(y)
-            y = y + gen
-    for i, g1 in enumerate(generators):
-        for g2 in generators[i + 1 :]:
-            out.append(g1 + g2)
-    return out
-
-
-def support_in_annihilator(
-    mu: AtomicSignedMeasure,
-    generators: Sequence[YPoint],
-    tol: float = 1e-9,
-    multiples: int = 16,
-) -> bool:
-    """True iff the characteristic function is 1 on the generated subgroup.
-
-    Checked within tol on integer-combination samples of the generators.
-    For a signed measure the value 1 does not put every atom in the
-    annihilator: atoms can cancel.
-    """
-    points = _subgroup_sample(generators, multiples)
-    s = np.array([y.s for y in points])
-    n = [y.n for y in points]
-    h = [y.h.coords for y in points]
-    ok = bool(np.all(np.abs(np.diagonal(char_values(mu, s, n, h)) - 1.0) <= tol))
-    return ok
-
-
 def max_modulus_check(
     mu: AtomicSignedMeasure,
     r: float,
@@ -637,17 +661,3 @@ def max_modulus_check(
     zero = mu.group.G.zero().coords
     vals = np.abs(char_values(mu, s_vals, [int(n) % 2, 0], [hh.coords, zero]))
     return float(vals[:, 0].max()) <= float(vals[:, 1].max()) + tol
-
-
-def measures_close(mu: AtomicSignedMeasure, nu: AtomicSignedMeasure, tol: float) -> bool:
-    """Termwise comparison of canonical forms within tol on each field."""
-    if mu.group != nu.group or len(mu.terms) != len(nu.terms):
-        return False
-    for a, b in zip(mu.terms, nu.terms):
-        if a.m != b.m or a.g.coords != b.g.coords:
-            return False
-        if abs(a.c - b.c) > tol or abs(a.atom.sigma - b.atom.sigma) > tol:
-            return False
-        if abs(a.atom.shift - b.atom.shift) > tol:
-            return False
-    return True

@@ -224,18 +224,18 @@ def generate_instance(spec: InstanceSpec) -> GeneratedInstance:
         failures.append("omega2 lives on a different ambient group")
     else:
         kset = {k.coords for k in kernel}
-        for term in spec.omega2.terms:
-            if term.atom.sigma != 0.0 or term.atom.shift != 0.0:
+        w = spec.omega2
+        rows = zip(w.sigma.tolist(), w.shift.tolist(), map(tuple, w.g.tolist()))
+        for sigma, shift, coords in rows:
+            if sigma != 0.0 or shift != 0.0:
                 failures.append("omega2 must be supported on the finite part")
                 break
-            if term.g.coords not in kset:
-                failures.append(
-                    f"omega2 atom at g={term.g.coords} is outside K = Ker(I + alpha_G)"
-                )
+            if coords not in kset:
+                failures.append(f"omega2 atom at g={coords} is outside K = Ker(I + alpha_G)")
                 break
-        if abs(spec.omega2.total_mass() - 1.0) > MASS_TOL:
+        if abs(w.total_mass() - 1.0) > MASS_TOL:
             failures.append("omega2 total mass is not 1")
-        elif spec.omega2.terms and is_distribution(spec.omega2).is_no:
+        elif len(w.c) and is_distribution(w).is_no:
             failures.append("omega2 is not a distribution")
     if not (-1.0 <= spec.vartheta_d <= 1.0):
         failures.append("vartheta_d must lie in [-1, 1]")
@@ -312,19 +312,27 @@ class Decomposition:
         }
 
 
+def _sums(keys, c: np.ndarray) -> dict:
+    """Sum of c per key, keys in first-appearance order, each sum taken in
+    row order from 0.0."""
+    out: dict = {}
+    for key, w in zip(keys, c.tolist()):
+        out[key] = out.get(key, 0.0) + w
+    return out
+
+
 def _coset_representative(
     mu: AtomicSignedMeasure, kernel: Sequence[GroupElement], label: str
 ) -> GroupElement:
     """All finite coordinates must fall in one K-coset; return its lex-min."""
-    if not mu.terms:
+    if not len(mu.c):
         raise DecompositionError(f"{label} has no atoms")
     kset = {k.coords for k in kernel}
-    base = mu.terms[0].g
-    for term in mu.terms:
-        if (term.g - base).coords not in kset:
-            raise DecompositionError(
-                f"{label} support spans more than one coset of K"
-            )
+    G = mu.group.G
+    offsets = (mu.g - mu.g[0]) % np.array(G.cyclic_orders)
+    if any(coords not in kset for coords in map(tuple, offsets.tolist())):
+        raise DecompositionError(f"{label} support spans more than one coset of K")
+    base = G.element(mu.g[0])
     return min((base + k for k in kernel), key=lambda g: g.coords)
 
 
@@ -349,9 +357,10 @@ def _factor(
     for label, mu_red in zip(("mu1", "mu2"), reduced):
         keys, first, sums = _parity_sums(mu_red)
         even, odd = sums.T
-        terms = [mu_red.terms[i] for i in first]
-        # a real atom is the pair of cluster labels of (sigma, shift)
+        # a real atom is the pair of cluster labels of (sigma, shift); each
+        # key's first row gives its values
         atoms = [tuple(row) for row in keys[:, :2].tolist()]
+        real = list(zip(mu_red.sigma[first].tolist(), mu_red.shift[first].tolist()))
         on_even = {x for x, e in zip(atoms, even) if abs(e) > NONNEG_TOL}
         on_odd = {x for x, o in zip(atoms, odd) if abs(o) > NONNEG_TOL}
         if len(on_even) != 1 or len(on_odd) > 1:
@@ -359,17 +368,16 @@ def _factor(
                 f"{label}: even coefficients sit on {len(on_even)} real atoms "
                 f"(need 1) and odd ones on {len(on_odd)} (need at most 1)"
             )
-        tables.append((label, terms, even, odd))
+        tables.append((label, mu_red.g[first].tolist(), even, odd))
         # [sigma, m] and, if mu has odd sums, [sigma', m']
-        found = (terms[atoms.index(*on)].atom for on in (on_even, on_odd) if on)
-        profiles.append([x for atom in found for x in astuple(atom)])
+        profiles.append([x for on in (on_even, on_odd) if on for x in real[atoms.index(*on)]])
     # a mu without odd sums fits any (sigma', m'): it takes its partner's
     # through the cross constraints, or is degenerate like it
     for own, other, scale in ((profiles[0], profiles[1], -a), (profiles[1], profiles[0], -1 / a)):
         if len(own) == 2:
             own += own[:2] if other[2:] in ([], other[:2]) else [scale * x for x in other[2:]]
     factors = []
-    for (label, terms, even, odd), (sigma, m, sigma_p, m_p) in zip(tables, profiles):
+    for (label, coords, even, odd), (sigma, m, sigma_p, m_p) in zip(tables, profiles):
         if (sigma_p, m_p) == (sigma, m):
             rho = 1.0
         else:
@@ -389,9 +397,9 @@ def _factor(
         omega = AtomicSignedMeasure.from_terms(
             group,
             [
-                (w, 0.0, 0.0, n, t.g)
+                (w, 0.0, 0.0, n, g)
                 for n, col in enumerate((even + odd_w, even - odd_w))
-                for w, t in zip(col / 2.0, terms)
+                for w, g in zip(col / 2.0, coords)
             ],
         )
         verdict = is_distribution(omega)
@@ -468,12 +476,12 @@ def decompose(
     # the omegas' coset representatives can differ by a K-translation dk;
     # one that works moves a point of omega1 onto omega2's heaviest point of
     # G and matches its mass within tol
-    mass1, mass2 = {}, {}
-    for w, mass in ((omega1, mass1), (omega2, mass2)):
-        for t in w.terms:
-            mass[t.g] = mass.get(t.g, 0.0) + t.c
+    mass1, mass2 = (_sums(map(tuple, w.g.tolist()), w.c) for w in (omega1, omega2))
     heavy = max(mass2, key=lambda g: abs(mass2[g]))
-    fits = [heavy - g for g, c in mass1.items() if abs(c - mass2[heavy]) <= tol]
+    G = group.G
+    fits = [
+        G.element(heavy) - G.element(g) for g, c in mass1.items() if abs(c - mass2[heavy]) <= tol
+    ]
     for dk in sorted(fits, key=lambda dk: not dk.is_zero):
         rel = delta_relation(omega1, omega2, tol, dk)
         if rel.holds:
@@ -612,7 +620,7 @@ class RigidityResult:
 def _parity_pairs(omega: AtomicSignedMeasure) -> dict[tuple[int, ...], tuple[float, float]]:
     if not omega.is_finite_supported:
         raise ValueError("omega must be supported on the finite part")
-    mass = omega.finite_masses()
+    mass = _sums(zip(omega.m.tolist(), map(tuple, omega.g.tolist())), omega.c)
     return {g: (mass.get((0, g), 0.0), mass.get((1, g), 0.0)) for _, g in mass}
 
 

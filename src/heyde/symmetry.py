@@ -72,7 +72,7 @@ KEY_TOL = 1e-9
 
 
 def _gaussian_sigmas(*measures: AtomicSignedMeasure) -> list[float]:
-    return [t.atom.sigma for mu in measures for t in mu.terms if t.atom.sigma > 0.0]
+    return [s for mu in measures for s in mu.sigma.tolist() if s > 0.0]
 
 
 def default_s_scale(*measures: AtomicSignedMeasure) -> float:
@@ -112,14 +112,6 @@ class JointKey:
 class JointLawReport:
     residual: float
     worst: JointKey | None  # None when every coefficient cancels exactly
-
-
-def _term_arrays(mu: AtomicSignedMeasure) -> tuple[np.ndarray, ...]:
-    """Coefficients, sigmas, shifts, parities and finite coordinates of mu."""
-    real = np.array([(t.c, t.atom.sigma, t.atom.shift) for t in mu.terms]).reshape(-1, 3)
-    m = np.array([t.m for t in mu.terms], dtype=np.int64)
-    g = np.array([t.g.coords for t in mu.terms], dtype=np.int64).reshape(-1, mu.group.G.rank)
-    return real[:, 0], real[:, 1], real[:, 2], m, g
 
 
 def _cluster_labels(x: np.ndarray, size: np.ndarray) -> np.ndarray:
@@ -192,13 +184,13 @@ def joint_law_report(
     """
     if mu1.group != mu2.group or alpha.group != mu1.group:
         raise ValueError("measures and automorphism must share one group")
-    if not (mu1.terms and mu2.terms):
+    if not (len(mu1.c) and len(mu2.c)):
         return JointLawReport(0.0, None)
     G = mu1.group.G
     orders = np.array(G.cyclic_orders, dtype=np.int64)
     a = alpha.a
-    c1, s1, t1, m1, g1 = _term_arrays(mu1)
-    c2, s2, t2, m2, g2 = _term_arrays(mu2)
+    c1, s1, t1, m1, g1 = mu1.c, mu1.sigma, mu1.shift, mu1.m, mu1.g
+    c2, s2, t2, m2, g2 = mu2.c, mu2.sigma, mu2.shift, mu2.m, mu2.g
     g2a = g2 @ np.array(alpha.alpha_G.matrix, dtype=np.int64).T
     n = np.add.outer(m1, m2).reshape(-1, 1) % 2
     f1 = ((g1[:, None, :] + g2[None, :, :]) % orders).reshape(-1, G.rank)
@@ -334,7 +326,7 @@ def char_sup_distance(
     if mu.group != nu.group:
         raise ValueError("measures live on different groups")
     diff = mu + nu * (-1.0)
-    if not diff.terms:
+    if not len(diff.c):
         return 0.0
     if s_values is None:
         s_values = SGrid().values(mu, nu)
@@ -621,17 +613,19 @@ class DeltaRelation:
 def _parity_sums(*taus: AtomicSignedMeasure, dk: GroupElement | None = None):
     """The coefficient table of taus per (sigma, shift, g) key of any of
     them, real parts clustered under KEY_TOL.  Returns the key rows (sigma
-    and shift cluster labels, then g), each key's first term in the terms
+    and shift cluster labels, then g), each key's first row in the rows
     of taus in turn, and columns even_j, odd_j per tau j: the m = 0
     coefficient plus (even) or minus (odd) the m = 1 one, taus[0] moved by
     dk in G.  On dual parity 0 (1) a tau's characteristic function is its
     even (odd) sums times factors of modulus at most 1."""
-    arrays = [_term_arrays(tau) for tau in taus]
-    c, s, t, m, g = (np.concatenate(column) for column in zip(*arrays))
+    c, s, t, m, g = (
+        np.concatenate(column)
+        for column in zip(*((tau.c, tau.sigma, tau.shift, tau.m, tau.g) for tau in taus))
+    )
     if dk is not None:
-        n0 = len(arrays[0][0])
+        n0 = len(taus[0].c)
         g[:n0] = (g[:n0] + dk.coords) % np.array(taus[0].group.G.cyclic_orders)
-    owner = np.repeat(np.eye(len(taus)), [len(a[0]) for a in arrays], axis=0)
+    owner = np.repeat(np.eye(len(taus)), [len(tau.c) for tau in taus], axis=0)
     parity = np.column_stack([c, np.where(m == 0, c, -c)])
     coef = (owner[:, :, None] * parity[:, None, :]).reshape(len(c), -1)
     real = np.column_stack([s, t])

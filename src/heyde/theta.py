@@ -128,14 +128,14 @@ def measure_to_theta(mu: AtomicSignedMeasure, tol: float = 1e-9) -> ThetaParams:
     weight 1 on dual parity 0 and at most one on parity 1; none there is
     the kappa = 0 member (sigma, sigma, m, m, 0).
     """
-    for t in mu.terms:
-        if not t.g.is_zero:
-            raise ThetaShapeError("measure is not supported on the trivial finite coset")
+    if mu.g.any():
+        raise ThetaShapeError("measure is not supported on the trivial finite coset")
     by_parity: list[dict[tuple[float, float], float]] = [{}, {}]
-    for t in mu.terms:
-        key = (t.atom.sigma, t.atom.shift)
-        by_parity[0][key] = by_parity[0].get(key, 0.0) + t.c
-        by_parity[1][key] = by_parity[1].get(key, 0.0) + t.c * (1.0 if t.m == 0 else -1.0)
+    rows = zip(mu.c.tolist(), mu.sigma.tolist(), mu.shift.tolist(), mu.m.tolist())
+    for c, sigma, shift, m in rows:
+        key = (sigma, shift)
+        by_parity[0][key] = by_parity[0].get(key, 0.0) + c
+        by_parity[1][key] = by_parity[1].get(key, 0.0) + c * (1.0 if m == 0 else -1.0)
     surviving = [
         [(k, w) for k, w in ps.items() if abs(w) > tol] for ps in by_parity
     ]

@@ -92,14 +92,26 @@ def coset_density_min_oracle(mu: AtomicSignedMeasure, m: int, coords) -> float:
 def distribution_oracle(mu: AtomicSignedMeasure, tol: float = 1e-12) -> bool:
     """First-principles nonnegativity check: point masses and density grids."""
     worst = math.inf
-    for (m, coords), terms in mu.cosets().items():
-        for t in terms:
-            if t.atom.sigma == 0.0:
-                worst = min(worst, t.c)
-        cont_min = coset_density_min_oracle(mu, m, coords)
-        if cont_min < math.inf:
-            worst = min(worst, cont_min)
+    for t in mu.terms:
+        if t.atom.sigma == 0.0:
+            worst = min(worst, t.c)
+    for m, coords in {(t.m, t.g.coords) for t in mu.terms}:
+        worst = min(worst, coset_density_min_oracle(mu, m, coords))
     return worst >= -tol
+
+
+def measures_close(mu: AtomicSignedMeasure, nu: AtomicSignedMeasure, tol: float) -> bool:
+    """Termwise comparison of canonical forms within tol on each field."""
+    if mu.group != nu.group or len(mu.terms) != len(nu.terms):
+        return False
+    for a, b in zip(mu.terms, nu.terms):
+        if a.m != b.m or a.g.coords != b.g.coords:
+            return False
+        if abs(a.c - b.c) > tol or abs(a.atom.sigma - b.atom.sigma) > tol:
+            return False
+        if abs(a.atom.shift - b.atom.shift) > tol:
+            return False
+    return True
 
 
 def finite_uniform_spec(group: AmbientGroup, kernel, weights, parities=None):

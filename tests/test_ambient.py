@@ -8,9 +8,7 @@ from heyde import (
     AmbientGroup,
     FiniteAbelianGroup,
     XAutomorphism,
-    annihilator_of_real_line,
     pair,
-    real_z2_group,
     scalar_automorphism,
 )
 from heyde.finite_abelian import GroupAutomorphism
@@ -27,11 +25,6 @@ class TestAmbientGroup:
             AmbientGroup(FiniteAbelianGroup((2,)))
         with pytest.raises(ValueError):
             AmbientGroup(FiniteAbelianGroup((3, 4)))
-
-    def test_real_z2_group_has_trivial_finite_part(self):
-        X = real_z2_group()
-        assert X.G.order == 1
-        assert list(X.G.elements()) == [X.G.zero()]
 
     def test_order_two_point(self, x9):
         p = x9.order_two_point
@@ -84,16 +77,6 @@ class TestPairing:
                 pair(xa, ya) * pair(xa, yb), abs=1e-13
             )
             assert abs(abs(pair(xa, ya)) - 1.0) < 1e-14
-
-    def test_annihilator_of_real_line(self, x9):
-        ann = annihilator_of_real_line(x9)
-        assert len(ann) == 2 * 9
-        assert len({(p.t, p.m, p.g.coords) for p in ann}) == 18
-        for p in ann:
-            assert p.t == 0.0
-            for s in (-2.3, 0.0, 0.7, 11.0):
-                y = x9.dual_point(s, 0, (0,))
-                assert pair(p, y) == pytest.approx(1.0, abs=1e-15)
 
 
 class TestXAutomorphism:

@@ -1,8 +1,12 @@
+import dataclasses
 import hashlib
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hs
 
 from heyde import (
     AmbientGroup,
@@ -14,14 +18,13 @@ from heyde import (
     dirac,
     is_distribution,
     max_modulus_check,
-    measures_close,
     sample,
     sample_arrays,
-    support_in_annihilator,
     two_term_bound,
 )
-from heyde.measures import _rejection_sample
-from conftest import coset_density_min_oracle, distribution_oracle
+from heyde.finite_abelian import GroupElement
+from heyde.measures import DROP_TOL, _rejection_sample
+from conftest import coset_density_min_oracle, distribution_oracle, measures_close
 
 
 @pytest.fixture
@@ -76,6 +79,142 @@ class TestConstruction:
         mu = random_measure(x9, rng, signed=True)
         back = AtomicSignedMeasure.from_json(x9, mu.to_json())
         assert measures_close(mu, back, tol=0.0)
+
+
+def reference_canonical(group, terms):
+    """Canonical (c, sigma, shift, m, coords) rows by the dict merge a
+    tuple of Term objects was built with: coefficients summed per key in
+    input order from 0.0, sums within DROP_TOL dropped, the rest sorted by
+    (sigma, shift, m, coords)."""
+    merged = {}
+    for c, sigma, shift, m, g in terms:
+        gg = g if isinstance(g, GroupElement) else group.G.element(g)
+        key = (float(sigma), float(shift), int(m) % 2, gg.coords)
+        merged[key] = merged.get(key, 0.0) + float(c)
+    kept = [(key, c) for key, c in merged.items() if abs(c) > DROP_TOL]
+    kept.sort(key=lambda item: item[0])
+    return [(c, sigma, shift, m, coords) for (sigma, shift, m, coords), c in kept]
+
+
+def exact_rows(rows):
+    """Rows with floats as hex strings, so that 0.0 and -0.0 differ."""
+    return [tuple(x.hex() if isinstance(x, float) else x for x in row) for row in rows]
+
+
+def column_rows(mu):
+    return list(
+        zip(
+            mu.c.tolist(),
+            mu.sigma.tolist(),
+            mu.shift.tolist(),
+            mu.m.tolist(),
+            map(tuple, mu.g.tolist()),
+        )
+    )
+
+
+# values that repeat keys, cancel to within DROP_TOL (0.1 + 0.2 - 0.3) and
+# carry both signs of zero
+RAW_TERM = hs.tuples(
+    hs.sampled_from([0.1, 0.2, -0.3, 0.5, -0.5, 1e-15, 2.0 / 3.0, -1.25]),
+    hs.sampled_from([0.0, -0.0, 0.5, 1.5]),
+    hs.sampled_from([0.0, -0.0, 0.7, -1.25, 0.1 + 0.2]),
+    hs.integers(-3, 4),
+    # (1, 2), (4, 7) and (-2, -3) are one element of Z(3) x Z(5)
+    hs.sampled_from([(0, 0), (1, 2), (4, 7), (-2, -3)]),
+    hs.booleans(),
+)
+# one key three times, summing to about 5.6e-17, and a key under both zeros
+CANCELLING = [
+    (0.1, 0.5, 0.7, 0, (1, 2), False),
+    (0.2, 0.5, 0.7, 2, (4, 7), True),
+    (-0.3, 0.5, 0.7, -2, (-2, -3), False),
+    (0.5, 0.0, -0.0, 1, (0, 0), False),
+    (2.0 / 3.0, 0.0, 0.0, 3, (0, 0), True),
+]
+
+
+class TestCanonicalForm:
+    X = AmbientGroup(FiniteAbelianGroup((3, 5)))
+
+    def raw(self, drawn):
+        # g as a GroupElement or as a raw, unreduced sequence
+        return [
+            (c, s, t, m, self.X.G.element(g) if as_element else g)
+            for c, s, t, m, g, as_element in drawn
+        ]
+
+    @given(hs.lists(RAW_TERM, max_size=12), hs.lists(RAW_TERM, max_size=6))
+    @example(CANCELLING, CANCELLING[3:])
+    @settings(max_examples=150, deadline=None)
+    def test_builders_match_the_dict_merge_reference(self, first, second):
+        X = self.X
+        mu = AtomicSignedMeasure.from_terms(X, self.raw(first))
+        nu = AtomicSignedMeasure.from_terms(X, self.raw(second))
+        assert exact_rows(column_rows(mu)) == exact_rows(reference_canonical(X, self.raw(first)))
+        assert exact_rows(
+            (t.c, t.atom.sigma, t.atom.shift, t.m, t.g.coords) for t in mu.terms
+        ) == exact_rows(column_rows(mu))
+        # convolve, + and * against the same reference on Term arithmetic,
+        # convolution rows mu-major
+        products = [
+            (
+                a.c * b.c,
+                a.atom.sigma + b.atom.sigma,
+                a.atom.shift + b.atom.shift,
+                a.m + b.m,
+                a.g + b.g,
+            )
+            for a, b in itertools.product(mu.terms, nu.terms)
+        ]
+        sums = [(t.c, t.atom.sigma, t.atom.shift, t.m, t.g) for t in mu.terms + nu.terms]
+        scaled = [(t.c * -0.3, t.atom.sigma, t.atom.shift, t.m, t.g) for t in mu.terms]
+        for built, terms in (
+            (convolve(mu, nu), products),
+            (mu + nu, sums),
+            (mu * -0.3, scaled),
+        ):
+            assert exact_rows(column_rows(built)) == exact_rows(reference_canonical(X, terms))
+
+    def test_equality_compares_group_and_content(self, x9):
+        rows = [(0.25, 1.0, -0.0, 0, (1,)), (0.75, 0.0, 0.5, 1, (2,))]
+        mu = AtomicSignedMeasure.from_terms(x9, rows)
+        same = AtomicSignedMeasure.from_terms(x9, rows[::-1])
+        assert mu == same and hash(mu) == hash(same)
+        # -0.0 and 0.0 shifts are equal keys
+        assert mu == AtomicSignedMeasure.from_terms(x9, [(0.25, 1.0, 0.0, 0, (1,)), rows[1]])
+        assert mu != AtomicSignedMeasure.from_terms(x9, [(0.25, 1.0, 0.0, 0, (1,))])
+        assert mu != AtomicSignedMeasure.from_terms(x9, [(0.5, 1.0, 0.0, 0, (1,)), rows[1]])
+        other = AmbientGroup(FiniteAbelianGroup((7,)))
+        assert mu != AtomicSignedMeasure.from_terms(other, rows)
+
+    def test_columns_are_read_only(self, x9):
+        mu = AtomicSignedMeasure.from_terms(x9, [(1.0, 0.5, 0.25, 1, (4,))])
+        for column in (mu.c, mu.sigma, mu.shift, mu.m):
+            with pytest.raises(ValueError):
+                column[0] = 0
+        with pytest.raises(ValueError):
+            mu.g[0, 0] = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            mu.c = np.zeros(1)
+
+    def test_bad_terms_are_refused(self, x9):
+        for term in [
+            (math.nan, 1.0, 0.0, 0, (0,)),
+            (1.0, math.inf, 0.0, 0, (0,)),
+            (1.0, 1.0, -math.inf, 0, (0,)),
+        ]:
+            with pytest.raises(ValueError, match="non-finite"):
+                AtomicSignedMeasure.from_terms(x9, [term])
+        with pytest.raises(ValueError, match="sigma must be >= 0"):
+            AtomicSignedMeasure.from_terms(x9, [(1.0, -0.5, 0.0, 0, (0,))])
+        foreign = FiniteAbelianGroup((3,)).element((1,))
+        with pytest.raises(ValueError, match="different group"):
+            AtomicSignedMeasure.from_terms(x9, [(1.0, 0.0, 0.0, 0, foreign)])
+        # an overflowing convolution is refused without a numpy warning
+        far = dirac(x9.point(1e308, 0, (0,)))
+        with pytest.raises(ValueError, match="non-finite"):
+            convolve(far, far)
 
 
 class TestConvolution:
@@ -395,7 +534,7 @@ class TestRejectionSample:
     def coset(self, x9, terms):
         mu = AtomicSignedMeasure.from_terms(x9, [(c, s, t, 0, (0,)) for c, s, t in terms])
         assert is_distribution(mu).is_yes
-        return list(mu.terms)
+        return list(zip(mu.c.tolist(), mu.sigma.tolist(), mu.shift.tolist()))
 
     @pytest.mark.parametrize("name", sorted(SIGNED_COSETS))
     def test_kolmogorov_smirnov_against_exact_coset_cdf(self, x9, name):
@@ -415,8 +554,8 @@ class TestRejectionSample:
     @pytest.mark.parametrize("need", [1, 37, 20_000])
     def test_one_round_fills_a_coset_accepting_above_half(self, x9, name, need):
         terms = self.coset(x9, SIGNED_COSETS[name])
-        pos_mass = sum(t.c for t in terms if t.c > 0.0)
-        rate = sum(t.c for t in terms) / (1.1 * pos_mass)
+        pos_mass = sum(c for c, _, _ in terms if c > 0.0)
+        rate = sum(c for c, _, _ in terms) / (1.1 * pos_mass)
         assert rate > 0.5
         rng = RecordingRng(3)
         out = np.full(need, np.nan)
@@ -442,26 +581,6 @@ class TestRejectionSample:
 
 
 class TestSupportAndModulus:
-    def test_support_in_annihilator(self, x9):
-        mu = AtomicSignedMeasure.from_terms(
-            x9, [(0.5, 0.0, 0.0, 0, (3,)), (0.5, 0.0, 0.0, 1, (6,))]
-        )
-        # h = 3 kills the subgroup {0,3,6}; h = 1 separates it
-        assert support_in_annihilator(mu, [x9.dual_point(0.0, 0, (3,))])
-        assert not support_in_annihilator(mu, [x9.dual_point(0.0, 0, (1,))])
-
-    def test_signed_atoms_may_cancel_on_the_subgroup(self, x9):
-        # g = 1 and g = 4 pair alike with every multiple of h = 3, so their
-        # opposite coefficients cancel there although neither is annihilated
-        mu = AtomicSignedMeasure.from_terms(
-            x9, [(1.0, 0.0, 0.0, 0, (0,)), (0.5, 0.0, 0.0, 0, (1,)), (-0.5, 0.0, 0.0, 0, (4,))]
-        )
-        assert support_in_annihilator(mu, [x9.dual_point(0.0, 0, (3,))])
-
-    def test_real_support_breaks_annihilation(self, x9):
-        mu = AtomicSignedMeasure.from_terms(x9, [(1.0, 0.0, 0.8, 0, (0,))])
-        assert not support_in_annihilator(mu, [x9.dual_point(1.0, 0, (0,))])
-
     def test_max_modulus_on_distribution(self, x9):
         rng = np.random.default_rng(31)
         mu = random_measure(x9, rng, n_terms=4)

@@ -31,7 +31,6 @@ from heyde import (
     is_in_theta,
     lambda_signed,
     lambda_tau_criterion,
-    measures_close,
     negation_automorphism,
     rho_extremal,
     rigidity_decision,
@@ -49,6 +48,7 @@ from heyde.structure import (
 from conftest import (
     distribution_oracle,
     expected_recovered_d,
+    measures_close,
     perturb_coefficient,
     rigidity_sweep_oracle,
     standard_instance,
@@ -572,7 +572,7 @@ class TestLambdaTau:
         tau = tau_from_coefficients(x3, coeffs)
         assert tau.total_mass() == pytest.approx(1.0)
         assert tau.is_finite_supported
-        masses = tau.finite_masses()
+        masses = {(t.m, t.g.coords): t.c for t in tau.terms}
         assert masses[(0, (0,))] == pytest.approx(0.25)
         assert masses[(1, (0,))] == pytest.approx(0.25)
         assert masses[(0, (1,))] == pytest.approx(0.5)

@@ -16,13 +16,12 @@ from heyde import (
     is_in_theta,
     lambda_signed,
     measure_to_theta,
-    measures_close,
     rho_extremal,
     theta_to_measure,
     theta_verdict,
     two_term_bound,
 )
-from conftest import distribution_oracle
+from conftest import distribution_oracle, measures_close
 
 
 @pytest.fixture
