@@ -27,6 +27,7 @@ from .measures import (
     density_profile,
     dirac,
     is_distribution,
+    sample_arrays,
 )
 from .structure import (
     DecompositionError,
@@ -37,7 +38,6 @@ from .structure import (
     rigidity_decision,
 )
 from .symmetry import SGrid, equation_residual_report, joint_law_report, mc_symmetry_test
-from .symmetry import _sample_pair
 from .theta import ThetaParams, is_in_theta, rho_extremal, theta_to_measure, theta_verdict
 
 EXIT_OK = 0
@@ -305,9 +305,13 @@ def cmd_simulate(args) -> int:
         },
     }
     if args.csv:
-        # the first draws of the test's two streams, on two threads
+        # i.i.d. draws of each measure from two streams spawned from the
+        # seed; the test draws its pairs grouped by coset pair, so these
+        # are a second draw, not the test's samples
         count = min(args.samples, 100_000)
-        t, m, g = (np.concatenate(cols) for cols in zip(*_sample_pair(mu1, mu2, args.seed, count)))
+        rngs = (np.random.default_rng(s) for s in np.random.SeedSequence(args.seed).spawn(2))
+        draws = [sample_arrays(mu, rng, count) for mu, rng in zip((mu1, mu2), rngs)]
+        t, m, g = (np.concatenate(cols) for cols in zip(*draws))
         header = ["measure", "t", "m"] + [f"g{k}" for k in range(group.G.rank)]
         _emit_csv(args.csv, header, [np.repeat([1, 2], count), t, m, *g.T])
     _emit(args, report)

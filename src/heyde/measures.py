@@ -502,6 +502,42 @@ def _check_samplable(mu: AtomicSignedMeasure) -> None:
         raise ValueError("cannot sample a zero-mass measure")
 
 
+def _coset_probs(cosets: list) -> np.ndarray:
+    """Each coset's probability: its mass (negative read as 0) over the total."""
+    masses = np.array([max(sum(c for c, _, _ in rows), 0.0) for _, rows in cosets])
+    return masses / masses.sum()
+
+
+def _draw_blocks(cosets: list, counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """The t coordinates of counts[k] i.i.d. draws from coset k of
+    cosets, in one block per coset in coset order.  A coset splits its
+    draws between point masses and the continuous part by one binomial,
+    picks the points by weight and draws the rest by _rejection_sample."""
+    t = np.empty(int(counts.sum()), dtype=float)
+    stop = 0
+    for (_, rows), need in zip(cosets, counts.tolist()):
+        if need == 0:
+            continue
+        ts = t[stop : stop + need]
+        stop += need
+        points = [(shift, c) for c, sigma, shift in rows if sigma == 0.0]
+        cont = [row for row in rows if row[1] > 0.0]
+        p_mass = sum(max(c, 0.0) for _, c in points)
+        c_mass = sum(c for c, _, _ in cont)
+        coset_mass = p_mass + c_mass
+        n_point = rng.binomial(need, p_mass / coset_mass) if cont and points else (
+            need if points else 0
+        )
+        if n_point:
+            locs = np.array([loc for loc, _ in points])
+            ws = np.array([max(c, 0.0) for _, c in points])
+            idx = rng.choice(len(points), size=n_point, p=ws / ws.sum())
+            ts[:n_point] = locs[idx]
+        if n_point < need:
+            _rejection_sample(cont, rng, ts[n_point:])
+    return t
+
+
 def sample_arrays(
     mu: AtomicSignedMeasure, rng: np.random.Generator, count: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -513,37 +549,11 @@ def sample_arrays(
     """
     _check_samplable(mu)
     cosets = _cosets(mu)
-    masses = np.array([max(sum(c for c, _, _ in rows), 0.0) for _, rows in cosets])
-    probs = masses / masses.sum()
-    counts = rng.multinomial(count, probs)
-
+    counts = rng.multinomial(count, _coset_probs(cosets))
     # the blocked layout holds one small coset index per draw; m and g are
     # expanded from per-coset tables after the permutation
-    t_out = np.empty(count, dtype=float)
-    c_out = np.empty(count, dtype=np.min_scalar_type(len(cosets)))
-    pos0 = 0
-    for k, ((_, rows), need) in enumerate(zip(cosets, counts)):
-        if need == 0:
-            continue
-        sl = slice(pos0, pos0 + need)
-        pos0 += need
-        c_out[sl] = k
-        points = [(shift, c) for c, sigma, shift in rows if sigma == 0.0]
-        cont = [row for row in rows if row[1] > 0.0]
-        p_mass = sum(max(c, 0.0) for _, c in points)
-        c_mass = sum(c for c, _, _ in cont)
-        coset_mass = p_mass + c_mass
-        n_point = rng.binomial(need, p_mass / coset_mass) if cont and points else (
-            need if points else 0
-        )
-        ts = t_out[sl]
-        if n_point:
-            locs = np.array([loc for loc, _ in points])
-            ws = np.array([max(c, 0.0) for _, c in points])
-            idx = rng.choice(len(points), size=n_point, p=ws / ws.sum())
-            ts[:n_point] = locs[idx]
-        if n_point < need:
-            _rejection_sample(cont, rng, ts[n_point:])
+    t_out = _draw_blocks(cosets, counts, rng)
+    c_out = np.repeat(np.arange(len(cosets), dtype=np.min_scalar_type(len(cosets))), counts)
     perm = rng.permutation(count)
     t = np.take(t_out, perm)
     del t_out

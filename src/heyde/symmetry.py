@@ -43,9 +43,11 @@ from .finite_abelian import GroupAutomorphism, GroupElement, pairing
 from .measures import (
     AtomicSignedMeasure,
     _check_samplable,
+    _coset_probs,
+    _cosets,
+    _draw_blocks,
     char_values,
     order_two_measure,
-    sample_arrays,
 )
 
 __all__ = [
@@ -406,63 +408,90 @@ def _on_two_threads(first, second) -> list:
 
 def _sample_pair(
     mu1: AtomicSignedMeasure, mu2: AtomicSignedMeasure, seed: int, count: int
-) -> list[tuple[np.ndarray, ...]]:
-    """The (t, m, g) samples of xi_1 and xi_2 from two independent streams
-    spawned from seed, drawn on two threads; mu1 is checked first, so an
-    invalid mu1 raises without waiting for xi_2."""
+) -> tuple:
+    """count i.i.d. pairs (xi_1, xi_2), drawn grouped by coset pair.
+
+    Returns counts, (t1, m1, g1), (t2, m2, g2): counts[k1, k2] pairs have
+    xi_1 in coset k1 of mu1 and xi_2 in coset k2 of mu2, m and g give each
+    coset's finite point, and t1, t2 the real parts of the draws.  t1 holds
+    the cells (k1, k2) in row-major order and t2 in column-major order; the
+    i-th draw of a cell on one side is paired with the i-th on the other.
+    mu1 and then mu2 are checked before any draw.  Of two streams spawned
+    from seed, the first draws the table, then xi_1 on the calling thread;
+    the second draws xi_2 on a worker thread.  Draws within a coset block
+    are i.i.d. and independent of the counts, so the pairs have the law of
+    independent draws of xi_1 and xi_2.
+    """
     _check_samplable(mu1)
+    _check_samplable(mu2)
+    cosets1, cosets2 = _cosets(mu1), _cosets(mu2)
     rng1, rng2 = (np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2))
-    return _on_two_threads(
-        lambda: sample_arrays(mu1, rng1, count), lambda: sample_arrays(mu2, rng2, count)
+    probs = np.outer(_coset_probs(cosets1), _coset_probs(cosets2))
+    counts = rng1.multinomial(count, probs.ravel()).reshape(probs.shape)
+    t1, t2 = _on_two_threads(
+        lambda: _draw_blocks(cosets1, counts.sum(axis=1), rng1),
+        lambda: _draw_blocks(cosets2, counts.sum(axis=0), rng2),
     )
+    rank = mu1.group.G.rank
+
+    def points(cosets):
+        # (m, g) of each coset
+        m = np.array([m for (m, _), _ in cosets], dtype=np.int64)
+        return m, np.array([g for (_, g), _ in cosets], dtype=np.int64).reshape(-1, rank)
+
+    return counts, (t1, *points(cosets1)), (t2, *points(cosets2))
 
 
 def _probe_sums(
-    alpha: XAutomorphism, draws: list, probes: Sequence[tuple[YPoint, YPoint]]
+    alpha: XAutomorphism, draws: tuple, probes: Sequence[tuple[YPoint, YPoint]]
 ) -> np.ndarray:
-    """sum over the samples of pair(L1, u) * Im pair(L2, v), per probe pair.
+    """sum over the pairs of pair(L1, u) * Im pair(L2, v), per probe pair.
 
-    draws holds the (t, m, g) samples of xi_1 and xi_2; it is emptied, so
-    that each array is freed as soon as the stage is done with it.  L1 and
-    L2 share their Z(2) coordinate m1 + m2, so a sample falls in one bin
-    b = (m1 + m2, g1, g2) of 2|G|^2, on which the finite factors chi_u of
-    pair(L1, u) and chi_v of pair(L2, v) are constant.  With T1, T2 the
-    real parts of L1, L2 and e = exp(i s_u T1), the sum is
+    draws are the pairs of _sample_pair.  L1 and L2 share their Z(2)
+    coordinate m1 + m2, so a pair falls in one bin b = (m1 + m2, g1, g2) of
+    2|G|^2, on which the finite factors chi_u of pair(L1, u) and chi_v of
+    pair(L2, v) are constant.  With T1, T2 the real parts of L1, L2 and
+    e = exp(i s_u T1), the sum is
 
         sum_b chi_u(b) [Re chi_v(b) A_sin(b) + Im chi_v(b) A_cos(b)],
 
     A_sin(b) and A_cos(b) the bin sums of e sin(s_v T2) and e cos(s_v T2).
-    The samples are put in bin order by a stable sort of the bin keys,
-    narrowed to the smallest unsigned type that holds 2|G|^2 (numpy's O(N)
-    radix sort up to 16 bits).  The trig runs once per distinct nonzero s
-    on each side: at s = 0, cos and sin are the constants 1 and 0, so a
-    pair with s_v = 0 has A_sin = 0 and A_cos the bin sums of e (the bin
-    counts when s_u = 0 too), and a pair with s_u = 0 only the bin sums of
-    cos(s_v T2) and sin(s_v T2).  The bin sums run once per distinct
-    (s_u, s_v), and each probe pair then costs the occupied bins, at most
-    min(N, 2|G|^2).  T1 and T2 are gathered on two threads; the trig and
-    bin sums run on two threads, each over the whole bins on its side of the
-    bin boundary nearest N/2, so each bin is still one reduceat segment.
+    Each coset-pair cell (k1, k2) lies in one bin, so the C occupied cells
+    (C at most min(N, K1 K2)), put in (bin, k1, k2) order by a stable sort
+    of their keys, lay every bin out as one contiguous run; T1 = t1 + t2
+    and T2 = t1 + a t2 are written cell by cell into that order, one numpy
+    step per cell, with no sort or gather of the N pairs.  The
+    trig runs once per distinct nonzero s on each side: at s = 0, cos and
+    sin are the constants 1 and 0, so a pair with s_v = 0 has A_sin = 0 and
+    A_cos the bin sums of e (the bin counts when s_u = 0 too), and a pair
+    with s_u = 0 only the bin sums of cos(s_v T2) and sin(s_v T2).  The bin
+    sums run once per distinct (s_u, s_v), and each probe pair then costs
+    the occupied bins, at most min(N, 2|G|^2).  T1, T2, the trig and the
+    bin sums run on two threads, each over the whole bins on its side of
+    the bin boundary nearest N/2, so each bin is still one reduceat segment.
     """
-    (t1, m1, g1), (t2, m2, g2) = draws
-    draws.clear()
+    counts, (t1, m1, g1), (t2, m2, g2) = draws
     G = alpha.group.G
+    a = alpha.a
     dims = (2,) + G.cyclic_orders * 2
-    key = np.ravel_multi_index((m1 ^ m2, *g1.T, *g2.T), dims)
-    del m1, g1, m2, g2
-    key = key.astype(np.min_scalar_type(math.prod(dims) - 1))
-    # samples in bin order; np.add.reduceat sums each run of one bin, which
-    # rounds far less than a running sum over a bin of 10^5 samples
+
+    def cell_starts(table: np.ndarray) -> np.ndarray:
+        # where each cell's draws start, the cells laid out in row-major order
+        flat = table.ravel()
+        return (np.cumsum(flat) - flat).reshape(table.shape)
+
+    # t1 holds the cells in row-major order, t2 in column-major order
+    start1, start2 = cell_starts(counts), cell_starts(counts.T).T
+    k1, k2 = np.nonzero(counts)
+    key = np.ravel_multi_index((m1[k1] ^ m2[k2], *g1[k1].T, *g2[k2].T), dims)
+    # occupied cells in (bin, k1, k2) order: np.nonzero lists them in
+    # (k1, k2) order and the sort is stable
     order = np.argsort(key, kind="stable")
-    key = np.take(key, order)
-    T1, T2 = _on_two_threads(
-        lambda: np.take(t1 + t2, order), lambda: np.take(t1 + alpha.a * t2, order)
-    )
-    del t1, t2, order
-    n = len(key)
-    starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
-    bin_coords = np.stack(np.unravel_index(key[starts], dims), axis=1)
-    bin_m, bin_g1, bin_g2 = np.split(bin_coords, [1, 1 + G.rank], axis=1)
+    k1, k2, key = k1[order], k2[order], key[order]
+    sizes, from1, from2 = counts[k1, k2], start1[k1, k2], start2[k1, k2]
+    first = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+    starts = cell_starts(sizes)[first]
+    bin_m, bin_g1, bin_g2 = m1[k1[first]] ^ m2[k2[first]], g1[k1[first]], g2[k2[first]]
     # finite parts of L1 and L2 per bin; the pairing is periodic in each
     bin_f1 = bin_g1 + bin_g2
     bin_f2 = bin_g1 + bin_g2 @ np.array(alpha.alpha_G.matrix, dtype=np.int64).T
@@ -473,7 +502,7 @@ def _probe_sums(
         index = [columns.setdefault((y.n, y.h.coords), len(columns)) for y in ys]
         n = [c[0] for c in columns]
         h = [c[1] for c in columns]
-        return np.array(index), pairing(G, bin_f, h, bin_m[:, 0], n)
+        return np.array(index), pairing(G, bin_f, h, bin_m, n)
 
     qu, chi_u = finite_factors([u for u, _ in probes], bin_f1)
     qv, chi_v = finite_factors([v for _, v in probes], bin_f2)
@@ -482,8 +511,19 @@ def _probe_sums(
     for k, (u, v) in enumerate(probes):
         groups.setdefault((u.s, v.s), []).append(k)
 
-    def bin_sums(T1h: np.ndarray, T2h: np.ndarray, seg: np.ndarray) -> dict:
-        # (A_sin, A_cos) per (s_u, s_v) over whole bins starting at seg
+    def bin_sums(lo: int, hi: int, seg: np.ndarray) -> dict:
+        # (A_sin, A_cos) per (s_u, s_v) over the whole bins of cells lo to
+        # hi, starting at seg
+        T1h = np.empty(int(sizes[lo:hi].sum()))
+        T2h = np.empty_like(T1h)
+        at = 0
+        for x, y, k in zip(from1[lo:hi].tolist(), from2[lo:hi].tolist(), sizes[lo:hi].tolist()):
+            x1, x2 = t1[x : x + k], t2[y : y + k]
+            np.add(x1, x2, out=T1h[at : at + k])
+            np.multiply(x2, a, out=T2h[at : at + k])
+            T2h[at : at + k] += x1
+            at += k
+
         def trig(s_values, T):
             # (cos(s T), sin(s T)) in bin order per distinct nonzero s
             return {s: (np.cos(s * T), np.sin(s * T)) for s in s_values if s != 0.0}
@@ -513,14 +553,15 @@ def _probe_sums(
             out[s_u, s_v] = a_sin, a_cos
         return out
 
+    n = len(t1)
     bounds = np.append(starts, n)
     j = int(np.argmin(np.abs(bounds - n / 2)))
     mid = int(bounds[j])
+    cut = int(np.append(first, len(key))[j])
     low, high = _on_two_threads(
-        lambda: bin_sums(T1[:mid], T2[:mid], starts[:j]),
-        lambda: bin_sums(T1[mid:], T2[mid:], starts[j:] - mid),
+        lambda: bin_sums(0, cut, starts[:j]),
+        lambda: bin_sums(cut, len(key), starts[j:] - mid),
     )
-    del T1, T2
 
     sums = np.empty(len(probes), dtype=complex)
     for s_pair, members in groups.items():
@@ -550,13 +591,17 @@ def mc_symmetry_test(
     within a few multiples of the Monte Carlo scale 1/sqrt(n).  The report
     names the probe pair that attains the max: the first one within
     KEY_TOL of it, since conjugate probes can tie up to rounding.
-    Sampling costs O(N) per measure (rejection makes about N / p proposals
-    on a continuous coset of acceptance rate p).  The probe stage costs one
-    O(N) radix sort of the bin keys (a stable sort beyond 2|G|^2 = 2^16),
-    O(N) per distinct nonzero s and per distinct (s_u, s_v) other than
-    (0, 0), and O(min(N, 2|G|^2)) per probe pair (see _probe_sums).  Both
-    stages run on two threads, and the result is bit for bit that of one
-    thread.  A non-finite statistic, or n_samples < 1, raises ValueError.
+    The pairs are drawn grouped by coset pair (see _sample_pair): one
+    multinomial table of K1 K2 coset-pair counts, K1 and K2 the measures'
+    coset counts, then O(N) per measure (rejection makes about N / p
+    proposals on a continuous coset of acceptance rate p).  The probe stage
+    costs O(K1 K2 + C log C) to find and order the C <= min(N, K1 K2)
+    occupied cells, one numpy step per occupied cell, O(N) per distinct
+    nonzero s and per distinct (s_u, s_v) other than (0, 0), and
+    O(min(N, 2|G|^2)) per probe pair (see _probe_sums); it neither sorts
+    nor gathers the N pairs.  Both stages run on two threads, and the
+    result is bit for bit that of one thread.  A non-finite statistic, or
+    n_samples < 1, raises ValueError.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")

@@ -26,6 +26,33 @@ from heyde import (
     two_term_bound,
 )
 from heyde.finite_abelian import GroupAutomorphism
+from heyde.symmetry import _sample_pair
+
+
+def expand_pairs(draws):
+    """The (t, m, g) of xi_1 and of xi_2 per pair, from the grouped draws of
+    _sample_pair: pairs in cell (k1, k2) order, row i of the one side
+    paired with row i of the other."""
+    counts, (t1, m1, g1), (t2, m2, g2) = draws
+    K1, K2 = counts.shape
+    cells = [(k1, k2) for k1 in range(K1) for k2 in range(K2)]
+    # xi_2's draws are stored cell by cell in (k2, k1) order
+    start2, at = {}, 0
+    for k2 in range(K2):
+        for k1 in range(K1):
+            start2[k1, k2] = at
+            at += int(counts[k1, k2])
+    rows2 = np.concatenate(
+        [np.arange(start2[c], start2[c] + counts[c], dtype=np.int64) for c in cells]
+    )
+    k1_of = np.repeat([k1 for k1, _ in cells], counts.ravel())
+    k2_of = np.repeat([k2 for _, k2 in cells], counts.ravel())
+    return [(t1, m1[k1_of], g1[k1_of]), (t2[rows2], m2[k2_of], g2[k2_of])]
+
+
+def paired_samples(mu1, mu2, n_samples, seed):
+    """The pairs mc_symmetry_test draws at seed, one row per pair."""
+    return expand_pairs(_sample_pair(mu1, mu2, seed, n_samples))
 
 
 @pytest.fixture

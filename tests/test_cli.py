@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 
@@ -306,6 +307,20 @@ class TestSimulate:
                     ",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row)
                 )
         assert csv_path.read_text() == "\n".join(lines) + "\n"
+
+    def test_csv_bytes_are_pinned(self, tmp_path, capsys):
+        # the CSV draws each measure by sample_arrays, apart from the test's
+        # own pairs; its bytes are those recorded before the pairs were
+        # drawn grouped by coset pair
+        payload = generated_payload(tmp_path, capsys)
+        case = write_case(tmp_path, payload, "sim.json")
+        csv_path = tmp_path / "samples.csv"
+        code, _ = run(
+            capsys, ["simulate", case, "--samples", "2000", "--seed", "9", "--csv", str(csv_path)]
+        )
+        assert code == EXIT_OK
+        digest = hashlib.sha256(csv_path.read_bytes()).hexdigest()
+        assert digest == "95e7f0bddc91de0de5d2d847bf84b105e0a7c977939f0706d4c03cac90760a09"
 
     def test_seed_changes_statistic(self, tmp_path, capsys):
         payload = generated_payload(tmp_path, capsys)

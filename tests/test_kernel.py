@@ -20,10 +20,9 @@ from heyde import (
     char_table,
     char_values,
     mc_symmetry_test,
-    sample_arrays,
 )
 from heyde.symmetry import _default_probe_pairs
-from conftest import perturb_coefficient, standard_instance
+from conftest import paired_samples, perturb_coefficient, standard_instance
 
 ORDERS = [(3,), (9,), (3, 3, 5)]
 
@@ -112,9 +111,7 @@ def pair_on_samples(group, t, m, g, y):
 def values_by_definition(mu1, mu2, alpha, n_samples, probes, seed):
     """|mean(w1 * w2) - mean(w1 * conj(w2))| per probe pair (u, v), w1 on L1, w2 on L2."""
     group = mu1.group
-    seeds = np.random.SeedSequence(seed).spawn(2)
-    t1, m1, g1 = sample_arrays(mu1, np.random.default_rng(seeds[0]), n_samples)
-    t2, m2, g2 = sample_arrays(mu2, np.random.default_rng(seeds[1]), n_samples)
+    (t1, m1, g1), (t2, m2, g2) = paired_samples(mu1, mu2, n_samples, seed)
     g2a = g2 @ np.array(alpha.alpha_G.matrix).T
     L1 = (t1 + t2, m1 + m2, g1 + g2)
     L2 = (t1 + alpha.a * t2, m1 + m2, g1 + g2a)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
+from scipy.stats import ks_2samp
 
 from heyde import (
     decompose,
@@ -36,7 +37,7 @@ from heyde import (
     scalar_automorphism,
     theta_to_measure,
 )
-from heyde.measures import order_two_measure, sample_arrays
+from heyde.measures import _draw_blocks, order_two_measure, sample_arrays
 from heyde.finite_abelian import pairing
 from heyde.symmetry import (
     KEY_TOL,
@@ -44,8 +45,9 @@ from heyde.symmetry import (
     _default_probe_pairs,
     _on_two_threads,
     _probe_sums,
+    _sample_pair,
 )
-from conftest import perturb_coefficient, standard_instance
+from conftest import expand_pairs, perturb_coefficient, standard_instance
 
 
 def load_workloads():
@@ -219,19 +221,15 @@ def z3z5_pair():
 
 
 def draw_pair(mu1, mu2, n_samples, seed):
-    """The (t, m, g) samples of mu1 and mu2 drawn one after the other on the
-    calling thread, from the streams mc_symmetry_test spawns from seed."""
-    seeds = np.random.SeedSequence(seed).spawn(2)
-    return [
-        sample_arrays(mu, np.random.default_rng(s), n_samples) for mu, s in zip((mu1, mu2), seeds)
-    ]
+    """The grouped pairs mc_symmetry_test draws at seed."""
+    return _sample_pair(mu1, mu2, seed, n_samples)
 
 
 def sequential_reference(mu1, mu2, alpha, n_samples, seed):
-    """(statistic, worst index) with the two samples drawn one after the
-    other on the calling thread."""
-    draws = draw_pair(mu1, mu2, n_samples, seed)
-    sums = np.abs(_probe_sums(alpha, draws, _default_probe_pairs(alpha.group, mu1, mu2)))
+    """(statistic, worst index) from the pairs one row each, by the probe
+    stage as it ran on one thread."""
+    draws = expand_pairs(draw_pair(mu1, mu2, n_samples, seed))
+    sums = np.abs(one_thread_probe_sums(alpha, draws, _default_probe_pairs(alpha.group, mu1, mu2)))
     top = sums.max()
     return 2.0 / n_samples * float(top), int(np.flatnonzero(sums >= top - KEY_TOL * top)[0])
 
@@ -261,8 +259,8 @@ ERRORS = {
 
 
 class TestMonteCarloThreads:
-    """The two samples are drawn on two threads; the results are those of
-    drawing them one after the other."""
+    """The two samples are drawn on two threads and probed on two; the
+    results are those of one thread over the same pairs."""
 
     @pytest.mark.parametrize("seed", [4, 17])
     @pytest.mark.parametrize("n_samples", [1, 20_000])
@@ -280,7 +278,7 @@ class TestMonteCarloThreads:
             ("signed", None),
             (None, "empty"),
             (None, "stuck"),
-            # both bad: the error is mu1's
+            # both bad: mu1's check error, else mu2's, comes before any draw
             ("empty", "signed"),
             ("signed", "stuck"),
             ("stuck", "empty"),
@@ -292,7 +290,10 @@ class TestMonteCarloThreads:
         mu1 = good if bad1 is None else bad[bad1]
         mu2 = good if bad2 is None else bad[bad2]
         before = threading.active_count()
-        exc_type, message = ERRORS[bad1 or bad2]
+        # both measures are checked before any draw; "stuck" passes the
+        # check and fails only while drawing
+        error = next((b for b in (bad1, bad2) if b in ("signed", "empty")), "stuck")
+        exc_type, message = ERRORS[error]
         with pytest.raises(exc_type, match=message):
             mc_symmetry_test(mu1, mu2, neg_alpha(x3), n_samples=1, seed=2)
         assert threading.active_count() == before
@@ -303,12 +304,12 @@ class TestMonteCarloThreads:
         mu1 = AtomicSignedMeasure.from_terms(x3, [(1.0, 1.0, 0.0, 0, (0,))])
         mu2 = AtomicSignedMeasure.from_terms(x3, [(1.0, 0.5, 0.0, 0, (1,))])
 
-        def overflowing(mu, rng, count):
-            if mu is mu2:
+        def overflowing(cosets, counts, rng):
+            if cosets[0][0] == (0, (1,)):  # mu2's one coset
                 np.float64(1e308) * np.float64(10.0)
-            return sample_arrays(mu, rng, count)
+            return _draw_blocks(cosets, counts, rng)
 
-        monkeypatch.setattr("heyde.symmetry.sample_arrays", overflowing)
+        monkeypatch.setattr("heyde.symmetry._draw_blocks", overflowing)
         before = threading.active_count()
         with pytest.raises(RuntimeWarning, match="overflow"):
             mc_symmetry_test(mu1, mu2, neg_alpha(x3), n_samples=100)
@@ -324,11 +325,11 @@ class TestMonteCarloThreads:
         good = AtomicSignedMeasure.from_terms(x3, [(1.0, 1.0, 0.0, 0, (0,))])
         daemon = []
 
-        def recording(mu, rng, count):
+        def recording(cosets, counts, rng):
             daemon.append(threading.current_thread().daemon)
-            return sample_arrays(mu, rng, count)
+            return _draw_blocks(cosets, counts, rng)
 
-        monkeypatch.setattr("heyde.symmetry.sample_arrays", recording)
+        monkeypatch.setattr("heyde.symmetry._draw_blocks", recording)
         for bad in ("signed", "empty"):
             exc_type, message = ERRORS[bad]
             with pytest.raises(exc_type, match=message):
@@ -340,8 +341,9 @@ class TestMonteCarloThreads:
 
 
 def one_thread_probe_sums(alpha, draws, probes):
-    """_probe_sums as it ran on one thread: the trig and the bin sums over
-    all samples at once.  The oracle for the two-thread probe stage."""
+    """The probe stage on one thread over the (t, m, g) of each pair: a
+    stable sort of the bin keys, then the trig and the bin sums over all
+    pairs at once.  The oracle for the two-thread probe stage."""
     (t1, m1, g1), (t2, m2, g2) = draws
     G = alpha.group.G
     dims = (2,) + G.cyclic_orders * 2
@@ -409,8 +411,8 @@ class TestProbeSumsThreads:
         mu1, mu2, alpha = z3z5_pair()
         probes = _default_probe_pairs(alpha.group, mu1, mu2)
         draws = draw_pair(mu1, mu2, n_samples, seed=6)
-        expected = one_thread_probe_sums(alpha, draws, probes)
-        got = _probe_sums(alpha, list(draws), probes)
+        expected = one_thread_probe_sums(alpha, expand_pairs(draws), probes)
+        got = _probe_sums(alpha, draws, probes)
         assert got.tobytes() == expected.tobytes()
 
     def test_one_bin_leaves_one_half_empty(self, x3):
@@ -421,8 +423,8 @@ class TestProbeSumsThreads:
         alpha = neg_alpha(x3, -2.0)
         probes = _default_probe_pairs(x3, mu, mu)
         draws = draw_pair(mu, mu, 5_000, seed=8)
-        expected = one_thread_probe_sums(alpha, draws, probes)
-        assert _probe_sums(alpha, list(draws), probes).tobytes() == expected.tobytes()
+        expected = one_thread_probe_sums(alpha, expand_pairs(draws), probes)
+        assert _probe_sums(alpha, draws, probes).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("in_worker", [False, True])
     def test_error_in_either_half_reaches_the_caller(self, in_worker, monkeypatch):
@@ -456,6 +458,104 @@ class TestProbeSumsThreads:
             _on_two_threads(lambda: 1, fail("second"))
         assert _on_two_threads(lambda: 1, lambda: 2) == [1, 2]
         assert threading.active_count() == before
+
+
+class TestPairedDraws:
+    """The pairs are drawn grouped by coset pair and probed in bin order,
+    with the law of independent draws of xi_1 and xi_2."""
+
+    def point_pair(self, X):
+        # one point mass per coset, every shift distinct; the cosets (0, 0)
+        # and (1, 0) of mu1 with (0, 1) and (1, 1) of mu2 share a bin
+        mu1 = AtomicSignedMeasure.from_terms(
+            X, [(0.3, 0.0, 0.25, 0, (0,)), (0.2, 0.0, -1.5, 1, (0,)), (0.5, 0.0, 3.0, 0, (2,))]
+        )
+        mu2 = AtomicSignedMeasure.from_terms(
+            X, [(0.4, 0.0, 0.75, 0, (1,)), (0.35, 0.0, -2.25, 1, (1,)), (0.25, 0.0, 5.5, 1, (2,))]
+        )
+        return mu1, mu2
+
+    def test_real_parts_are_the_cells_shifts(self, x3, monkeypatch):
+        mu1, mu2 = self.point_pair(x3)
+        alpha = neg_alpha(x3, -2.0)
+        shift1 = {(m, (int(g[0]),)): t for t, m, g in zip(mu1.shift, mu1.m, mu1.g)}
+        shift2 = {(m, (int(g[0]),)): t for t, m, g in zip(mu2.shift, mu2.m, mu2.g)}
+        draws = draw_pair(mu1, mu2, 5_000, seed=3)
+        (t1, m1, g1), (t2, m2, g2) = expand_pairs(draws)
+        assert [shift1[m, (int(g[0]),)] for m, g in zip(m1, g1)] == t1.tolist()
+        assert [shift2[m, (int(g[0]),)] for m, g in zip(m2, g2)] == t2.tolist()
+        # s = 1 on both sides, so cos sees T1 and then T2 of each half
+        seen = []
+        cos = np.cos
+
+        def recording_cos(x, *args, **kwargs):
+            seen.append((threading.current_thread().daemon, x.copy()))
+            return cos(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "cos", recording_cos)
+        probes = [(x3.dual_point(1.0, 0, (0,)), x3.dual_point(1.0, 1, (1,)))]
+        _probe_sums(alpha, draws, probes)
+        halves = [[x for daemon, x in seen if daemon == worker] for worker in (False, True)]
+        T1, T2 = (np.concatenate(side) for side in zip(*halves))
+        # each pair's (T1, T2) in (bin, k1, k2) order, from its cells' shifts
+        key = np.ravel_multi_index((m1 ^ m2, g1[:, 0], g2[:, 0]), (2, 3, 3))
+        order = np.argsort(key, kind="stable")
+        want = [
+            (shift1[a, (int(g[0]),)], shift2[b, (int(h[0]),)])
+            for a, g, b, h in zip(m1[order], g1[order], m2[order], g2[order])
+        ]
+        assert T1.tolist() == [x + y for x, y in want]
+        assert T2.tolist() == [x + -2.0 * y for x, y in want]
+
+    def test_law_matches_independent_draws(self):
+        # exact pair: statistic / threshold of the grouped draws against
+        # independent sample_arrays draws probed the same way, other seeds
+        inst = standard_instance(orders=(3, 5))
+        mu1, mu2, alpha = inst.mu1, inst.mu2, inst.alpha
+        probes = _default_probe_pairs(alpha.group, mu1, mu2)
+        n, runs = 2_000, 160
+
+        def independent(seed):
+            rngs = (np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2))
+            draws = [sample_arrays(mu, rng, n) for mu, rng in zip((mu1, mu2), rngs)]
+            stat = 2.0 / n * np.abs(one_thread_probe_sums(alpha, draws, probes)).max()
+            return stat / (4.0 / math.sqrt(n))
+
+        grouped = []
+        for seed in range(runs):
+            rep = mc_symmetry_test(mu1, mu2, alpha, n, seed=seed)
+            grouped.append(rep.statistic / rep.threshold)
+        reference = [independent(10_000 + seed) for seed in range(runs)]
+        assert ks_2samp(grouped, reference).pvalue > 0.01
+
+    def test_more_cells_than_pairs(self):
+        # 18 cosets a side, 324 cells, 40 pairs: most cells are empty
+        X = AmbientGroup(FiniteAbelianGroup((9,)))
+        rows = [(1.0 + k, 0.5 if k % 3 else 0.0, 0.1 * k, k % 2, (k // 2,)) for k in range(18)]
+        mu = AtomicSignedMeasure.from_terms(X, rows)
+        alpha = neg_alpha(X, -2.0)
+        probes = _default_probe_pairs(X, mu, mu)
+        draws = draw_pair(mu, mu, 40, seed=5)
+        counts = draws[0]
+        assert counts.shape == (18, 18) and counts.sum() == 40
+        assert np.count_nonzero(counts) <= 40
+        expected = one_thread_probe_sums(alpha, expand_pairs(draws), probes)
+        assert _probe_sums(alpha, draws, probes).tobytes() == expected.tobytes()
+        rep = mc_symmetry_test(mu, mu, alpha, 40, seed=5)
+        assert rep.statistic == 2.0 / 40 * float(np.abs(expected).max())
+
+    def test_two_worker_threads_per_call(self, monkeypatch):
+        mu1, mu2, alpha = z3z5_pair()
+        started = []
+
+        class Counting(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(threading, "Thread", Counting)
+        mc_symmetry_test(mu1, mu2, alpha, 20_000, seed=1)
+        assert len(started) == 2
 
 
 class TestMcWorst:
