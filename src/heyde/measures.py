@@ -128,6 +128,16 @@ class AtomicSignedMeasure:
             for c, sigma, shift, m, coords in self._rows()
         )
 
+    @cached_property
+    def _cosets(self) -> tuple[tuple[tuple[int, tuple[int, ...]], tuple], ...]:
+        """Each finite coset (m, g) in sorted order, with its (c, sigma,
+        shift) rows as Python floats in canonical order; grouped on first
+        access."""
+        out: dict[tuple[int, tuple[int, ...]], list] = {}
+        for c, sigma, shift, m, coords in self._rows():
+            out.setdefault((m, coords), []).append((c, sigma, shift))
+        return tuple((key, tuple(rows)) for key, rows in sorted(out.items()))
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AtomicSignedMeasure):
             return NotImplemented
@@ -297,15 +307,6 @@ def char_fn(mu: AtomicSignedMeasure, y: YPoint) -> complex:
     return complex(char_values(mu, y.s, [y.n], [y.h.coords])[0, 0])
 
 
-def _cosets(mu: AtomicSignedMeasure) -> list[tuple[tuple[int, tuple[int, ...]], list]]:
-    """Each finite coset (m, g) of mu in sorted order, with its (c, sigma,
-    shift) rows as Python floats in canonical order."""
-    out: dict[tuple[int, tuple[int, ...]], list] = {}
-    for c, sigma, shift, m, coords in mu._rows():
-        out.setdefault((m, coords), []).append((c, sigma, shift))
-    return sorted(out.items())
-
-
 def _density(sigma: float, shift: float, t):
     """rho_(sigma, shift) at t for sigma > 0, in one fixed order of
     operations, so that every caller gets the same bits."""
@@ -324,7 +325,7 @@ def density_profile(
     key = (int(m) % 2, gg.coords)
     dens = np.zeros_like(np.asarray(t, dtype=float))
     points: list[tuple[float, float]] = []
-    for c, sigma, shift in dict(_cosets(mu)).get(key, []):
+    for c, sigma, shift in dict(mu._cosets).get(key, ()):
         if sigma == 0.0:
             points.append((shift, c))
         else:
@@ -437,7 +438,7 @@ def is_distribution(mu: AtomicSignedMeasure, tol: float = NONNEG_TOL) -> Distrib
     """
     boundary_seen = False
     worst = math.inf
-    for (m, coords), rows in _cosets(mu):
+    for (m, coords), rows in mu._cosets:
         for c, sigma, shift in rows:
             if sigma == 0.0:
                 if c < -tol:
@@ -502,13 +503,30 @@ def _check_samplable(mu: AtomicSignedMeasure) -> None:
         raise ValueError("cannot sample a zero-mass measure")
 
 
-def _coset_probs(cosets: list) -> np.ndarray:
+# draws are made and proposals scored in blocks whose buffers stay in cache
+_BLOCK = 1 << 16
+
+
+def _choices(p: np.ndarray, rng: np.random.Generator, n: int, u: np.ndarray):
+    """n indices drawn with probabilities p, as (slice, indices) blocks of
+    at most _BLOCK, the uniforms drawn into the buffer u.  They read and
+    return what rng.choice(len(p), size=n, p=p) does: n uniforms, each
+    mapped to cdf.searchsorted(u, "right")."""
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    for lo in range(0, n, _BLOCK):
+        ub = u[: min(_BLOCK, n - lo)]
+        rng.random(out=ub)
+        yield slice(lo, lo + len(ub)), cdf.searchsorted(ub, "right")
+
+
+def _coset_probs(cosets: Sequence) -> np.ndarray:
     """Each coset's probability: its mass (negative read as 0) over the total."""
     masses = np.array([max(sum(c for c, _, _ in rows), 0.0) for _, rows in cosets])
     return masses / masses.sum()
 
 
-def _draw_blocks(cosets: list, counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+def _draw_blocks(cosets: Sequence, counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """The t coordinates of counts[k] i.i.d. draws from coset k of
     cosets, in one block per coset in coset order.  A coset splits its
     draws between point masses and the continuous part by one binomial,
@@ -531,8 +549,9 @@ def _draw_blocks(cosets: list, counts: np.ndarray, rng: np.random.Generator) -> 
         if n_point:
             locs = np.array([loc for loc, _ in points])
             ws = np.array([max(c, 0.0) for _, c in points])
-            idx = rng.choice(len(points), size=n_point, p=ws / ws.sum())
-            ts[:n_point] = locs[idx]
+            u = np.empty(min(n_point, _BLOCK))
+            for blk, idx in _choices(ws / ws.sum(), rng, n_point, u):
+                ts[blk] = locs[idx]
         if n_point < need:
             _rejection_sample(cont, rng, ts[n_point:])
     return t
@@ -548,7 +567,7 @@ def sample_arrays(
     the positive-part mixture inflated by 1.1.
     """
     _check_samplable(mu)
-    cosets = _cosets(mu)
+    cosets = mu._cosets
     counts = rng.multinomial(count, _coset_probs(cosets))
     # the blocked layout holds one small coset index per draw; m and g are
     # expanded from per-coset tables after the permutation
@@ -566,20 +585,24 @@ def sample_arrays(
     return t, np.take(m_table, coset), np.take(g_table, coset, axis=0)
 
 
-# proposals are scored in blocks whose buffers stay in cache
-_BLOCK = 1 << 16
-
-
 def _rejection_sample(
-    cont: list[tuple[float, float, float]], rng: np.random.Generator, out: np.ndarray
+    cont: Sequence[tuple[float, float, float]], rng: np.random.Generator, out: np.ndarray
 ) -> None:
     """Fill out with draws from a coset's continuous part, its (c, sigma,
-    shift) rows, by rejection
-    under its positive-part mixture inflated by 1.1.  A proposal is accepted
-    with probability p = (continuous mass) / (1.1 * positive mass), so a
-    round of (need + 4 sqrt(need) + 8) / p proposals, at most 10^6, almost
-    always suffices; components are drawn only for two or more positive
-    terms.  After 10^4 * (len(out) + 1) proposals it raises RuntimeError.
+    shift) rows, by rejection under its positive-part mixture inflated by
+    1.1.  A proposal is accepted with probability p = (continuous mass) /
+    (1.1 * positive mass), so a round of (need + 4 sqrt(need) + 8) / p
+    proposals, at most 10^6, almost always suffices.  After 10^4 *
+    (len(out) + 1) proposals it raises RuntimeError.
+
+    A round of n proposals reads n component uniforms (only with two or
+    more positive terms), n normals and n acceptance uniforms from rng, in
+    that order: the stream of rng.choice(p=...), standard_normal and random
+    with n each, the uniforms drawn _BLOCK at a time into one buffer.  A
+    round that fills out early still draws its remaining uniforms, so rng
+    ends where the whole-round draws leave it.  Memory beyond out: 9 bytes
+    per proposal of the first round (normals, 1-byte components) plus
+    O(_BLOCK).
     """
     need = len(out)
     w, sigmas, shifts = (np.array(col) for col in zip(*(row for row in cont if row[0] > 0.0)))
@@ -594,6 +617,7 @@ def _rejection_sample(
     got = 0
     proposed = 0
     cap = 10_000 * (need + 1)
+    normals = comp = None
     while got < need:
         if proposed >= cap:
             raise RuntimeError("rejection sampling exceeded the retry cap")
@@ -602,20 +626,29 @@ def _rejection_sample(
             min((left + 4.0 * math.sqrt(left) + 8.0) / accept_rate, 1_000_000, cap - proposed)
         )
         proposed += n_prop
+        if normals is None:
+            # the first round is the largest: its buffers serve every round
+            normals = np.empty(n_prop)
+            comp = np.empty(n_prop, dtype=np.min_scalar_type(len(w) - 1)) if len(w) > 1 else None
+            u, d, dens, env = (np.empty(min(n_prop, _BLOCK)) for _ in range(4))
+            accept = np.empty(len(u), dtype=bool)
+        blocks = [slice(lo, min(lo + _BLOCK, n_prop)) for lo in range(0, n_prop, _BLOCK)]
         # the draws per round, in this order and of these sizes: the samples
         # at a seed depend on it
-        comp = rng.choice(len(w), size=n_prop, p=w_probs) if len(w) > 1 else None
-        t = rng.standard_normal(n_prop)
-        u = rng.random(n_prop)
-        accept = np.empty(min(n_prop, _BLOCK), dtype=bool)
-        d, dens, env = (np.empty(min(n_prop, _BLOCK)) for _ in range(3))
-        for lo in range(0, n_prop, _BLOCK):
-            blk = slice(lo, lo + _BLOCK)
-            tb, ub = t[blk], u[blk]
+        if comp is not None:
+            for blk, idx in _choices(w_probs, rng, n_prop, u):
+                comp[blk] = idx
+        t = normals[:n_prop]
+        rng.standard_normal(out=t)
+        for blk in blocks:
+            ub, ab, db, densb, envb = (a[: blk.stop - blk.start] for a in (u, accept, d, dens, env))
+            rng.random(out=ub)
+            if got == need:
+                continue  # the round is filled; its uniforms are still drawn
+            tb = t[blk]
             cb = 0 if comp is None else comp[blk]
             tb *= scales[cb]
             tb += shifts[cb]
-            ab, db, densb, envb = (a[: len(tb)] for a in (accept, d, dens, env))
             densb.fill(0.0)
             envb.fill(0.0)
             for c, shift, neg_4sigma, norm in consts:
@@ -631,15 +664,14 @@ def _rejection_sample(
             ub *= 1.1
             ub *= envb
             np.less(ub, densb, out=ab)
-            # accepted proposals go to out in proposal order; the rest of
-            # the round's draws are already made, so the stream is the same
+            # accepted proposals go to out in proposal order
             k = int(np.count_nonzero(ab))
             if k >= need - got:
                 out[got:] = np.compress(ab, tb)[: need - got]
                 got = need
-                break
-            np.compress(ab, tb, out=out[got : got + k])
-            got += k
+            else:
+                np.compress(ab, tb, out=out[got : got + k])
+                got += k
 
 
 def sample(mu: AtomicSignedMeasure, seed: int, count: int) -> list[XPoint]:

@@ -41,10 +41,10 @@ import numpy as np
 from .ambient import AmbientGroup, XAutomorphism, YPoint
 from .finite_abelian import GroupAutomorphism, GroupElement, pairing
 from .measures import (
+    _BLOCK,
     AtomicSignedMeasure,
     _check_samplable,
     _coset_probs,
-    _cosets,
     _draw_blocks,
     char_values,
     order_two_measure,
@@ -424,7 +424,7 @@ def _sample_pair(
     """
     _check_samplable(mu1)
     _check_samplable(mu2)
-    cosets1, cosets2 = _cosets(mu1), _cosets(mu2)
+    cosets1, cosets2 = mu1._cosets, mu2._cosets
     rng1, rng2 = (np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2))
     probs = np.outer(_coset_probs(cosets1), _coset_probs(cosets2))
     counts = rng1.multinomial(count, probs.ravel()).reshape(probs.shape)
@@ -468,7 +468,14 @@ def _probe_sums(
     sums run once per distinct (s_u, s_v), and each probe pair then costs
     the occupied bins, at most min(N, 2|G|^2).  T1, T2, the trig and the
     bin sums run on two threads, each over the whole bins on its side of
-    the bin boundary nearest N/2, so each bin is still one reduceat segment.
+    the bin boundary nearest N/2.  Each thread walks its bins in chunks of
+    whole bins of at most _BLOCK pairs, or one bin when that is larger, so
+    each bin is still one reduceat segment and its sums are bit for bit
+    those of one pass over all pairs.  The chunks reuse one set of buffers
+    per thread: two per distinct nonzero s on each side and one for the
+    products, each of max(_BLOCK, largest bin) floats.  So beyond the draws
+    (16 bytes per pair) the stage holds O(max(_BLOCK, largest bin)) per
+    thread, and the largest bin sets the bound.
     """
     counts, (t1, m1, g1), (t2, m2, g2) = draws
     G = alpha.group.G
@@ -510,58 +517,93 @@ def _probe_sums(
     groups: dict[tuple[float, float], list[int]] = {}
     for k, (u, v) in enumerate(probes):
         groups.setdefault((u.s, v.s), []).append(k)
+    s_us = {s_u for s_u, _ in groups if s_u != 0.0}
+    s_vs = {s_v for _, s_v in groups if s_v != 0.0}
 
-    def bin_sums(lo: int, hi: int, seg: np.ndarray) -> dict:
-        # (A_sin, A_cos) per (s_u, s_v) over the whole bins of cells lo to
-        # hi, starting at seg
-        T1h = np.empty(int(sizes[lo:hi].sum()))
-        T2h = np.empty_like(T1h)
-        at = 0
-        for x, y, k in zip(from1[lo:hi].tolist(), from2[lo:hi].tolist(), sizes[lo:hi].tolist()):
-            x1, x2 = t1[x : x + k], t2[y : y + k]
-            np.add(x1, x2, out=T1h[at : at + k])
-            np.multiply(x2, a, out=T2h[at : at + k])
-            T2h[at : at + k] += x1
-            at += k
+    n = len(t1)
+    # bin b holds the cells cell_at[b] to cell_at[b + 1] and the pairs
+    # pair_at[b] to pair_at[b + 1]
+    cell_at = np.append(first, len(key))
+    pair_at = np.append(starts, n)
 
-        def trig(s_values, T):
-            # (cos(s T), sin(s T)) in bin order per distinct nonzero s
-            return {s: (np.cos(s * T), np.sin(s * T)) for s in s_values if s != 0.0}
+    def bin_sums(b0: int, b1: int) -> dict:
+        # (A_sin, A_cos) per (s_u, s_v) over the bins b0 to b1, walked in
+        # chunks of whole bins of at most _BLOCK pairs (one bin when it is
+        # larger), in buffers reused from chunk to chunk; rows of sums are
+        # the bin sums of Re and Im of A_sin, then of A_cos
+        width = min(
+            max(_BLOCK, int(np.diff(pair_at[b0 : b1 + 1]).max(initial=0))),
+            int(pair_at[b1] - pair_at[b0]),
+        )
+        prod = np.empty(width)
+        # (cos(s T), sin(s T)) per distinct nonzero s on each side
+        trig1 = {s: (np.empty(width), np.empty(width)) for s in s_us}
+        trig2 = {s: (np.empty(width), np.empty(width)) for s in s_vs}
+        sums = {s_pair: np.zeros((4, b1 - b0)) for s_pair in groups}
 
-        trig1 = trig({s_u for s_u, _ in groups}, T1h)
-        trig2 = trig({s_v for _, s_v in groups}, T2h)
+        def bin_sum(weights: np.ndarray, row: np.ndarray) -> None:
+            # the chunk's bin sums of weights into its columns of row
+            np.add.reduceat(weights[:at], seg, out=row[b - b0 : e - b0])
 
-        def bin_sum(weights: np.ndarray) -> np.ndarray:
-            return np.add.reduceat(weights, seg)
+        b = b0
+        while b < b1:
+            # the chunk: bins b to e, the most whole bins from b within _BLOCK
+            # pairs, and at least one
+            e = int(np.searchsorted(pair_at, pair_at[b] + _BLOCK, "right")) - 1
+            e = min(max(b + 1, e), b1)
+            c0, c1 = int(cell_at[b]), int(cell_at[e])
+            cells = list(zip(*(col[c0:c1].tolist() for col in (from1, from2, sizes))))
+            at = int(pair_at[e] - pair_at[b])
+            for of_l1, trig in ((True, trig1), (False, trig2)):
+                for s, (cos_s, sin_s) in trig.items():
+                    # T1 = t1 + t2 or T2 = t1 + a t2 in bin order, cell by
+                    # cell, then s T in place
+                    to = 0
+                    for x, y, k in cells:
+                        x1, x2, T = t1[x : x + k], t2[y : y + k], cos_s[to : to + k]
+                        if of_l1:
+                            np.add(x1, x2, out=T)
+                        else:
+                            np.multiply(x2, a, out=T)
+                            T += x1
+                        to += k
+                    cos_s[:at] *= s
+                    np.sin(cos_s[:at], out=sin_s[:at])
+                    np.cos(cos_s[:at], out=cos_s[:at])
+            seg = pair_at[b:e] - pair_at[b]
+            for (s_u, s_v), rows in sums.items():
+                if s_v == 0.0:
+                    if s_u != 0.0:
+                        bin_sum(trig1[s_u][0], rows[2])
+                        bin_sum(trig1[s_u][1], rows[3])
+                elif s_u == 0.0:
+                    bin_sum(trig2[s_v][1], rows[0])
+                    bin_sum(trig2[s_v][0], rows[2])
+                else:
+                    (cos_u, sin_u), (cos_v, sin_v) = trig1[s_u], trig2[s_v]
+                    factors = ((cos_u, sin_v), (sin_u, sin_v), (cos_u, cos_v), (sin_u, cos_v))
+                    for row, (x, y) in zip(rows, factors):
+                        np.multiply(x[:at], y[:at], out=prod[:at])
+                        bin_sum(prod, row)
+            b = e
 
         out = {}
-        for s_u, s_v in groups:
+        for (s_u, s_v), (re_sin, im_sin, re_cos, im_cos) in sums.items():
             if s_v == 0.0:
-                a_sin = np.zeros(len(seg))
+                a_sin = np.zeros(b1 - b0)
                 if s_u == 0.0:
-                    a_cos = np.diff(seg, append=len(T1h)).astype(float)
+                    a_cos = np.diff(pair_at[b0 : b1 + 1]).astype(float)
                 else:
-                    cos_u, sin_u = trig1[s_u]
-                    a_cos = bin_sum(cos_u) + 1j * bin_sum(sin_u)
+                    a_cos = re_cos + 1j * im_cos
             elif s_u == 0.0:
-                cos_v, sin_v = trig2[s_v]
-                a_sin, a_cos = bin_sum(sin_v), bin_sum(cos_v)
+                a_sin, a_cos = re_sin, re_cos
             else:
-                (cos_u, sin_u), (cos_v, sin_v) = trig1[s_u], trig2[s_v]
-                a_sin = bin_sum(cos_u * sin_v) + 1j * bin_sum(sin_u * sin_v)
-                a_cos = bin_sum(cos_u * cos_v) + 1j * bin_sum(sin_u * cos_v)
+                a_sin, a_cos = re_sin + 1j * im_sin, re_cos + 1j * im_cos
             out[s_u, s_v] = a_sin, a_cos
         return out
 
-    n = len(t1)
-    bounds = np.append(starts, n)
-    j = int(np.argmin(np.abs(bounds - n / 2)))
-    mid = int(bounds[j])
-    cut = int(np.append(first, len(key))[j])
-    low, high = _on_two_threads(
-        lambda: bin_sums(0, cut, starts[:j]),
-        lambda: bin_sums(cut, len(key), starts[j:] - mid),
-    )
+    j = int(np.argmin(np.abs(pair_at - n / 2)))
+    low, high = _on_two_threads(lambda: bin_sums(0, j), lambda: bin_sums(j, len(starts)))
 
     sums = np.empty(len(probes), dtype=complex)
     for s_pair, members in groups.items():
@@ -600,8 +642,12 @@ def mc_symmetry_test(
     nonzero s and per distinct (s_u, s_v) other than (0, 0), and
     O(min(N, 2|G|^2)) per probe pair (see _probe_sums); it neither sorts
     nor gathers the N pairs.  Both stages run on two threads, and the
-    result is bit for bit that of one thread.  A non-finite statistic, or
-    n_samples < 1, raises ValueError.
+    result is bit for bit that of one thread.  Memory: the draws take 16
+    bytes per pair; beyond them, sampling holds 9 bytes per proposal of a
+    coset's first rejection round (at most 10^6) plus O(_BLOCK) per thread,
+    and the probe stage O(max(_BLOCK, largest bin)) per thread, so the
+    largest bin sets the bound.  A non-finite statistic, or n_samples < 1,
+    raises ValueError.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")

@@ -23,7 +23,7 @@ from heyde import (
     two_term_bound,
 )
 from heyde.finite_abelian import GroupElement
-from heyde.measures import DROP_TOL, _rejection_sample
+from heyde.measures import _BLOCK, DROP_TOL, _density, _rejection_sample
 from conftest import coset_density_min_oracle, distribution_oracle, measures_close
 
 
@@ -503,7 +503,8 @@ class TestSampling:
 
 
 class RecordingRng:
-    """A numpy Generator that records the size of every draw."""
+    """A numpy Generator that records the size of every draw, given as
+    size or as the length of out."""
 
     def __init__(self, seed):
         self.rng = np.random.default_rng(seed)
@@ -513,7 +514,8 @@ class RecordingRng:
         method = getattr(self.rng, name)
 
         def recorded(*args, **kwargs):
-            self.calls.append((name, kwargs.get("size", args[0] if args else None)))
+            size = kwargs.get("size", args[0] if args else None)
+            self.calls.append((name, len(kwargs["out"]) if "out" in kwargs else size))
             return method(*args, **kwargs)
 
         return recorded
@@ -561,13 +563,17 @@ class TestRejectionSample:
         out = np.full(need, np.nan)
         _rejection_sample(terms, rng, out)
         assert not np.isnan(out).any()
-        methods = [method for method, _ in rng.calls]
+        # one round of n_prop proposals: n_prop normals and n_prop
+        # acceptance uniforms, plus n_prop component uniforms drawn ahead of
+        # the normals with two or more positive terms
         n_prop = math.ceil((need + 4.0 * math.sqrt(need) + 8.0) / rate)
-        if name == "one_positive":
-            assert methods == ["standard_normal", "random"]
-        else:
-            assert methods == ["choice", "standard_normal", "random"]
-        assert {size for _, size in rng.calls} == {n_prop}
+        methods = [method for method, _ in rng.calls]
+        assert set(methods) == {"random", "standard_normal"}
+        assert methods.count("standard_normal") == 1
+        ahead = sum(size for _, size in rng.calls[: methods.index("standard_normal")])
+        assert ahead == (0 if name == "one_positive" else n_prop)
+        drawn = {m: sum(size for method, size in rng.calls if method == m) for m in set(methods)}
+        assert drawn == {"standard_normal": n_prop, "random": n_prop + ahead}
 
     def test_stuck_coset_still_hits_the_retry_cap(self, x9):
         # a valid density of mass about 1e-6 under a positive part of mass 1
@@ -578,6 +584,81 @@ class TestRejectionSample:
             _rejection_sample(terms, rng, np.empty(3))
         proposals = sum(size for method, size in rng.calls if method == "standard_normal")
         assert proposals == 10_000 * (3 + 1)
+
+
+def whole_round_reference(cont, rng, need):
+    """The rejection sampler with each round drawn whole: rng.choice for the
+    components (two or more positive terms), then standard_normal and
+    random, n_prop each.  Returns the draws and the number of rounds."""
+    w, sigmas, shifts = (np.array(col) for col in zip(*(row for row in cont if row[0] > 0.0)))
+    rate = sum(c for c, _, _ in cont) / (1.1 * w.sum())
+    kept, got, rounds = [], 0, 0
+    while got < need:
+        left = need - got
+        n_prop = math.ceil(min((left + 4.0 * math.sqrt(left) + 8.0) / rate, 1_000_000))
+        rounds += 1
+        comp = rng.choice(len(w), size=n_prop, p=w / w.sum()) if len(w) > 1 else 0
+        t = rng.standard_normal(n_prop) * np.sqrt(2.0 * sigmas)[comp] + shifts[comp]
+        u = rng.random(n_prop)
+        dens = sum(c * _density(sigma, shift, t) for c, sigma, shift in cont)
+        env = sum(c * _density(sigma, shift, t) for c, sigma, shift in cont if c > 0.0)
+        accepted = t[u * 1.1 * env < dens][:left]
+        kept.append(accepted)
+        got += len(accepted)
+    return np.concatenate(kept), rounds
+
+
+# cosets for the stream test: 1, 2 and 3 positive terms, and one that
+# accepts about 0.15 of its proposals, so that a round capped at 10^6
+# proposals leaves 3 * _BLOCK + 17 draws short
+STREAM_COSETS = {
+    **SIGNED_COSETS,
+    "three_positive": [(0.5, 1.0, -0.3), (0.3, 0.8, 0.2), (0.3, 1.0, 0.4), (-0.1, 0.3, 0.0)],
+    "low_acceptance": [(1.0, 1.0, 0.0), (-0.835, 0.75, 0.0)],
+}
+
+
+class TestBlockDrawnStream:
+    """_rejection_sample draws its uniforms block by block, yet reads the
+    stream of whole-round draws: the same draws, and the generator left
+    where whole rounds leave it."""
+
+    @pytest.mark.parametrize("name", ["one_positive", "two_positive", "three_positive"])
+    @pytest.mark.parametrize("need", [1, _BLOCK, 3 * _BLOCK + 17])
+    def test_matches_whole_round_draws(self, x9, name, need):
+        terms = TestRejectionSample().coset(x9, STREAM_COSETS[name])
+        rng, twin = np.random.default_rng(21), np.random.default_rng(21)
+        out = np.empty(need)
+        _rejection_sample(terms, rng, out)
+        expected, _ = whole_round_reference(terms, twin, need)
+        assert out.tobytes() == expected.tobytes()
+        assert rng.random() == twin.random()
+
+    def test_a_coset_of_several_rounds(self, x9):
+        terms = TestRejectionSample().coset(x9, STREAM_COSETS["low_acceptance"])
+        rng, twin = np.random.default_rng(22), np.random.default_rng(22)
+        out = np.empty(3 * _BLOCK + 17)
+        _rejection_sample(terms, rng, out)
+        expected, rounds = whole_round_reference(terms, twin, len(out))
+        assert rounds > 1
+        assert out.tobytes() == expected.tobytes()
+        assert rng.random() == twin.random()
+
+    def test_a_round_filled_before_its_last_block(self, x9):
+        # a round of 2 * _BLOCK + 1 or + 2 proposals: its first two blocks
+        # almost surely fill out, and its last uniforms are still drawn
+        terms = TestRejectionSample().coset(x9, STREAM_COSETS["one_positive"])
+        rate = sum(c for c, _, _ in terms) / (1.1 * sum(c for c, _, _ in terms if c > 0.0))
+        need = next(
+            k for k in range(1, 2 * _BLOCK)
+            if math.ceil((k + 4.0 * math.sqrt(k) + 8.0) / rate) > 2 * _BLOCK
+        )
+        rng, twin = np.random.default_rng(23), np.random.default_rng(23)
+        out = np.empty(need)
+        _rejection_sample(terms, rng, out)
+        expected, _ = whole_round_reference(terms, twin, need)
+        assert out.tobytes() == expected.tobytes()
+        assert rng.random() == twin.random()
 
 
 class TestSupportAndModulus:

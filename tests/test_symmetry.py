@@ -3,6 +3,7 @@ import math
 import random
 import sys
 import threading
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -37,7 +38,7 @@ from heyde import (
     scalar_automorphism,
     theta_to_measure,
 )
-from heyde.measures import _draw_blocks, order_two_measure, sample_arrays
+from heyde.measures import _BLOCK, _draw_blocks, order_two_measure, sample_arrays
 from heyde.finite_abelian import pairing
 from heyde.symmetry import (
     KEY_TOL,
@@ -458,6 +459,70 @@ class TestProbeSumsThreads:
             _on_two_threads(lambda: 1, fail("second"))
         assert _on_two_threads(lambda: 1, lambda: 2) == [1, 2]
         assert threading.active_count() == before
+
+
+def hand_draws(cosets1, cosets2, counts, seed):
+    """Grouped draws as _sample_pair lays them out, with the coset-pair
+    counts given: (m, g) per coset of each side and standard normal real
+    parts."""
+    counts = np.array(counts, dtype=np.int64)
+    rng = np.random.default_rng(seed)
+    t1, t2 = rng.standard_normal(counts.sum()), rng.standard_normal(counts.sum())
+
+    def points(cosets):
+        return np.array([m for m, _ in cosets]), np.array([g for _, g in cosets])
+
+    return counts, (t1, *points(cosets1)), (t2, *points(cosets2))
+
+
+Z3_COSETS = [(m, (g,)) for m in (0, 1) for g in range(3)]
+
+
+class TestProbeSumsChunks:
+    """Each thread walks its bins in chunks of whole bins of at most _BLOCK
+    pairs; every bin sum is that of one pass over all pairs, bit for bit,
+    and the temporaries stay within a few blocks."""
+
+    def check(self, x3, draws):
+        alpha = neg_alpha(x3, -2.0)
+        probes = _default_probe_pairs(x3)
+        expected = one_thread_probe_sums(alpha, expand_pairs(draws), probes)
+        assert _probe_sums(alpha, draws, probes).tobytes() == expected.tobytes()
+
+    def test_one_bin_larger_than_a_block(self, x3):
+        # bins of 2 * _BLOCK + 5 and 1000 pairs: the thread cut falls
+        # between them
+        counts = [[2 * _BLOCK + 5], [1000]]
+        self.check(x3, hand_draws([(0, (0,)), (0, (1,))], [(0, (0,))], counts, 1))
+
+    def test_many_bins_per_chunk(self, x3):
+        # 18 bins of two cells each, about _BLOCK / 4.5 pairs per bin
+        counts = np.random.default_rng(2).multinomial(4 * _BLOCK, np.full(36, 1 / 36)).reshape(6, 6)
+        self.check(x3, hand_draws(Z3_COSETS, Z3_COSETS, counts, 3))
+
+    def test_chunk_edge_at_the_thread_cut(self, x3):
+        # 8 bins of _BLOCK / 8 pairs: the cut falls after bin 4, where the
+        # low thread's one chunk ends although more bins would fit
+        cosets2 = [(0, (0,)), (0, (1,)), (0, (2,)), (1, (0,))]
+        counts = np.full((2, 4), _BLOCK // 8)
+        self.check(x3, hand_draws([(0, (0,)), (0, (1,))], cosets2, counts, 4))
+
+    def test_temporaries_stay_within_blocks(self, x3):
+        # 18 near-equal bins over 4e5 pairs; the one-pass stage held several
+        # arrays of N / 2 per thread, 43 blocks of float64 in all
+        counts = np.full(36, 400_000 // 36)
+        counts[: 400_000 % 36] += 1
+        draws = hand_draws(Z3_COSETS, Z3_COSETS, counts.reshape(6, 6), 5)
+        alpha = neg_alpha(x3, -2.0)
+        probes = _default_probe_pairs(x3)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            _probe_sums(alpha, draws, probes)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * _BLOCK * 8
 
 
 class TestPairedDraws:
