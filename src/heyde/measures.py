@@ -511,13 +511,26 @@ def _choices(p: np.ndarray, rng: np.random.Generator, n: int, u: np.ndarray):
     """n indices drawn with probabilities p, as (slice, indices) blocks of
     at most _BLOCK, the uniforms drawn into the buffer u.  They read and
     return what rng.choice(len(p), size=n, p=p) does: n uniforms, each
-    mapped to cdf.searchsorted(u, "right")."""
+    mapped to cdf.searchsorted(u, "right"), the number of cdf entries at
+    most u.  Up to 64 entries that number is counted directly, one compare
+    per entry in the narrowest unsigned type, ties and zero-weight plateaus
+    alike; it skips the last entry, 1.0, which no uniform reaches.  The
+    count takes about 0.3 ns per draw at 2 entries and 13-20 ns at 64,
+    against 9-12 and 45-58 ns for the binary search, which wins from about
+    256 entries on."""
     cdf = p.cumsum()
     cdf /= cdf[-1]
+    inner = cdf[:-1].tolist() if len(cdf) <= 64 else None
     for lo in range(0, n, _BLOCK):
         ub = u[: min(_BLOCK, n - lo)]
         rng.random(out=ub)
-        yield slice(lo, lo + len(ub)), cdf.searchsorted(ub, "right")
+        if inner is None:
+            idx = cdf.searchsorted(ub, "right")
+        else:
+            idx = np.zeros(len(ub), dtype=np.min_scalar_type(len(cdf)))
+            for edge in inner:
+                idx += ub >= edge
+        yield slice(lo, lo + len(ub)), idx
 
 
 def _coset_probs(cosets: Sequence) -> np.ndarray:
@@ -603,6 +616,16 @@ def _rejection_sample(
     ends where the whole-round draws leave it.  Memory beyond out: 9 bytes
     per proposal of the first round (normals, 1-byte components) plus
     O(_BLOCK).
+
+    A proposal t is accepted when fl(u * 1.1) * env(t) < dens(t), env the
+    positive-part density.  On a coset with no negative term dens and env
+    are the same additions in the same order, so they are equal bit for
+    bit, and the test is fl(u * 1.1) < 1 whenever env(t) > 2^-1022; such a
+    coset is not scored at all, and draws the same stream.  The one
+    difference: a proposal whose density is at most 2^-1022 = 2.2e-308
+    (some 37 standard deviations out) is accepted, as the exact mixture
+    says it should be, where scoring may reject it, and always does once
+    the density underflows to 0.
     """
     need = len(out)
     w, sigmas, shifts = (np.array(col) for col in zip(*(row for row in cont if row[0] > 0.0)))
@@ -614,6 +637,9 @@ def _rejection_sample(
     consts = [
         (c, shift, -4.0 * sigma, 2.0 * math.sqrt(math.pi * sigma)) for c, sigma, shift in cont
     ]
+    # with no negative term the density and envelope are one sum, bit for
+    # bit, so fl(u * 1.1) * env < dens is fl(u * 1.1) < 1 for env > 2^-1022
+    scored = any(c < 0.0 for c, _, _ in cont)
     got = 0
     proposed = 0
     cap = 10_000 * (need + 1)
@@ -630,7 +656,8 @@ def _rejection_sample(
             # the first round is the largest: its buffers serve every round
             normals = np.empty(n_prop)
             comp = np.empty(n_prop, dtype=np.min_scalar_type(len(w) - 1)) if len(w) > 1 else None
-            u, d, dens, env = (np.empty(min(n_prop, _BLOCK)) for _ in range(4))
+            u = np.empty(min(n_prop, _BLOCK))
+            d, dens, env = (np.empty(len(u) if scored else 0) for _ in range(3))
             accept = np.empty(len(u), dtype=bool)
         blocks = [slice(lo, min(lo + _BLOCK, n_prop)) for lo in range(0, n_prop, _BLOCK)]
         # the draws per round, in this order and of these sizes: the samples
@@ -649,21 +676,24 @@ def _rejection_sample(
             cb = 0 if comp is None else comp[blk]
             tb *= scales[cb]
             tb += shifts[cb]
-            densb.fill(0.0)
-            envb.fill(0.0)
-            for c, shift, neg_4sigma, norm in consts:
-                np.subtract(tb, shift, out=db)
-                np.square(db, out=db)
-                np.divide(db, neg_4sigma, out=db)
-                np.exp(db, out=db)
-                np.divide(db, norm, out=db)
-                db *= c
-                densb += db
-                if c > 0.0:
-                    envb += db
             ub *= 1.1
-            ub *= envb
-            np.less(ub, densb, out=ab)
+            if scored:
+                densb.fill(0.0)
+                envb.fill(0.0)
+                for c, shift, neg_4sigma, norm in consts:
+                    np.subtract(tb, shift, out=db)
+                    np.square(db, out=db)
+                    np.divide(db, neg_4sigma, out=db)
+                    np.exp(db, out=db)
+                    np.divide(db, norm, out=db)
+                    db *= c
+                    densb += db
+                    if c > 0.0:
+                        envb += db
+                ub *= envb
+                np.less(ub, densb, out=ab)
+            else:
+                np.less(ub, 1.0, out=ab)
             # accepted proposals go to out in proposal order
             k = int(np.count_nonzero(ab))
             if k >= need - got:

@@ -23,7 +23,7 @@ from heyde import (
     two_term_bound,
 )
 from heyde.finite_abelian import GroupElement
-from heyde.measures import _BLOCK, DROP_TOL, _density, _rejection_sample
+from heyde.measures import _BLOCK, DROP_TOL, _choices, _density, _rejection_sample
 from conftest import coset_density_min_oracle, distribution_oracle, measures_close
 
 
@@ -608,13 +608,16 @@ def whole_round_reference(cont, rng, need):
     return np.concatenate(kept), rounds
 
 
-# cosets for the stream test: 1, 2 and 3 positive terms, and one that
-# accepts about 0.15 of its proposals, so that a round capped at 10^6
-# proposals leaves 3 * _BLOCK + 17 draws short
+# cosets for the stream test: 1, 2 and 3 positive terms, one that accepts
+# about 0.15 of its proposals, so that a round capped at 10^6 proposals
+# leaves 3 * _BLOCK + 17 draws short, and two with no negative term, which
+# the sampler does not score
 STREAM_COSETS = {
     **SIGNED_COSETS,
     "three_positive": [(0.5, 1.0, -0.3), (0.3, 0.8, 0.2), (0.3, 1.0, 0.4), (-0.1, 0.3, 0.0)],
     "low_acceptance": [(1.0, 1.0, 0.0), (-0.835, 0.75, 0.0)],
+    "one_positive_unsigned": [(1.0, 0.7, 0.3)],
+    "two_positive_unsigned": [(0.6, 1.0, -0.5), (0.4, 0.3, 1.2)],
 }
 
 
@@ -623,7 +626,16 @@ class TestBlockDrawnStream:
     stream of whole-round draws: the same draws, and the generator left
     where whole rounds leave it."""
 
-    @pytest.mark.parametrize("name", ["one_positive", "two_positive", "three_positive"])
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "one_positive",
+            "two_positive",
+            "three_positive",
+            "one_positive_unsigned",
+            "two_positive_unsigned",
+        ],
+    )
     @pytest.mark.parametrize("need", [1, _BLOCK, 3 * _BLOCK + 17])
     def test_matches_whole_round_draws(self, x9, name, need):
         terms = TestRejectionSample().coset(x9, STREAM_COSETS[name])
@@ -658,6 +670,123 @@ class TestBlockDrawnStream:
         _rejection_sample(terms, rng, out)
         expected, _ = whole_round_reference(terms, twin, need)
         assert out.tobytes() == expected.tobytes()
+        assert rng.random() == twin.random()
+
+
+class FixedRng:
+    """Serves the given uniforms in order, over and over, to
+    random(out=...), and zeros to standard_normal(out=...)."""
+
+    def __init__(self, uniforms):
+        self.uniforms = np.asarray(uniforms, dtype=float)
+        self.at = 0
+
+    def random(self, out):
+        out[:] = self.uniforms[(self.at + np.arange(len(out))) % len(self.uniforms)]
+        self.at += len(out)
+
+    def standard_normal(self, out):
+        out.fill(0.0)
+
+
+def uniform_scaled_to(target):
+    """The largest float u < 1 with fl(u * 1.1) == target."""
+    u = np.nextafter(target / 1.1, 2.0)
+    while u * 1.1 > target:
+        u = np.nextafter(u, 0.0)
+    assert u * 1.1 == target and u < 1.0
+    return float(u)
+
+
+class TestUnscoredAcceptance:
+    """With no negative term the sampler accepts when fl(u * 1.1) < 1 in
+    place of fl(u * 1.1) * env < dens, dens == env; the two agree for every
+    env above the smallest normal float, 2^-1022."""
+
+    def test_the_two_tests_agree_on_edge_floats(self):
+        rng = np.random.default_rng(41)
+        below = uniform_scaled_to(1.0 - 2.0**-53)
+        at_one = uniform_scaled_to(1.0)
+        u = np.concatenate(([0.0, below, at_one, np.nextafter(at_one, 2.0)], rng.random(200)))
+        v = u * 1.1
+        assert (v[1], v[2]) == (1.0 - 2.0**-53, 1.0)
+        tiny = np.finfo(float).tiny  # 2^-1022
+        env = np.concatenate(
+            (
+                2.0 ** np.arange(-1021, 1024, dtype=float),
+                (1.0 + rng.random(2000)) * 2.0 ** rng.integers(-1022, 1023, 2000),
+                [np.nextafter(tiny, 1.0), np.finfo(float).max],
+            )
+        )
+        assert (env > tiny).all() and np.isfinite(env).all()
+        with np.errstate(over="ignore"):
+            scored = np.multiply.outer(v, env) < env
+        assert (scored == (v < 1.0)[:, None]).all()
+        # at 2^-1022 itself the product rounds in the subnormal range: the
+        # one normal env where scoring rejects what the unscored test takes
+        assert not (v[1] * tiny < tiny)
+
+    @pytest.mark.parametrize("target, accepted", [(1.0 - 2.0**-53, True), (1.0, False)])
+    def test_the_sampler_accepts_below_one_only(self, x9, target, accepted):
+        # every proposal sits at the mode, every uniform scales to target
+        terms = TestRejectionSample().coset(x9, [(1.0, 0.5, 0.25)])
+        out = np.full(3, np.nan)
+        rng = FixedRng([uniform_scaled_to(target)])
+        if accepted:
+            _rejection_sample(terms, rng, out)
+            assert out.tolist() == [0.25] * 3
+        else:
+            with pytest.raises(RuntimeError, match="retry cap"):
+                _rejection_sample(terms, rng, out)
+
+
+class TestChoices:
+    """_choices maps each uniform to the number of cdf entries at most it,
+    by counting up to 64 entries and by binary search above."""
+
+    def cdf(self, p):
+        cdf = np.cumsum(p)
+        return cdf / cdf[-1]
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            [1.0],
+            [0.5, 0.5],
+            # zero-weight plateaus, leading and trailing
+            [0.0, 0.25, 0.0, 0.0, 0.5, 0.0, 0.25, 0.0],
+            np.random.default_rng(1).random(64),
+            np.random.default_rng(2).random(65),
+            np.where(np.arange(300) % 7 == 0, 0.0, np.random.default_rng(3).random(300)),
+        ],
+        ids=["1", "2", "plateaus", "64", "65", "300"],
+    )
+    def test_matches_searchsorted(self, p):
+        p = np.asarray(p, dtype=float)
+        cdf = self.cdf(p)
+        # every cdf entry below 1 and its neighbours: the ties
+        edges = cdf[cdf < 1.0]
+        ties = np.concatenate((edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)))
+        uniforms = np.concatenate(([0.0, np.nextafter(1.0, 0.0)], ties))
+        uniforms = np.concatenate((uniforms, np.random.default_rng(4).random(_BLOCK)))
+        uniforms = uniforms[(uniforms >= 0.0) & (uniforms < 1.0)]
+        n = len(uniforms)
+        got = np.empty(n, dtype=np.int64)
+        for blk, idx in _choices(p / p.sum(), FixedRng(uniforms), n, np.empty(min(n, _BLOCK))):
+            got[blk] = idx
+        assert n > _BLOCK
+        assert got.tolist() == self.cdf(p / p.sum()).searchsorted(uniforms, "right").tolist()
+
+    @pytest.mark.parametrize("k", [2, 3, 64, 65])
+    def test_reads_the_stream_of_choice(self, k):
+        p = np.random.default_rng(k).random(k)
+        p /= p.sum()
+        rng, twin = np.random.default_rng(5), np.random.default_rng(5)
+        n = _BLOCK + 17
+        got = np.empty(n, dtype=np.int64)
+        for blk, idx in _choices(p, rng, n, np.empty(_BLOCK)):
+            got[blk] = idx
+        assert got.tolist() == twin.choice(k, size=n, p=p).tolist()
         assert rng.random() == twin.random()
 
 

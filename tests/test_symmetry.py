@@ -43,6 +43,7 @@ from heyde.finite_abelian import pairing
 from heyde.symmetry import (
     KEY_TOL,
     _cluster_labels,
+    _cos_sin,
     _default_probe_pairs,
     _on_two_threads,
     _probe_sums,
@@ -344,7 +345,9 @@ class TestMonteCarloThreads:
 def one_thread_probe_sums(alpha, draws, probes):
     """The probe stage on one thread over the (t, m, g) of each pair: a
     stable sort of the bin keys, then the trig and the bin sums over all
-    pairs at once.  The oracle for the two-thread probe stage."""
+    pairs at once.  The oracle for the two-thread probe stage; its trig is
+    the stage's _cos_sin over all pairs at once, whose accuracy
+    TestCosSin checks."""
     (t1, m1, g1), (t2, m2, g2) = draws
     G = alpha.group.G
     dims = (2,) + G.cyclic_orders * 2
@@ -370,8 +373,13 @@ def one_thread_probe_sums(alpha, draws, probes):
     qu, chi_u = finite_factors([u for u, _ in probes], bin_f1)
     qv, chi_v = finite_factors([v for _, v in probes], bin_f2)
 
+    def cos_sin(x):
+        cos, sin = x, np.empty_like(x)
+        _cos_sin(cos, sin, np.empty_like(x))
+        return cos, sin
+
     def trig(s_values, T):
-        return {s: (np.cos(s * T), np.sin(s * T)) for s in s_values if s != 0.0}
+        return {s: cos_sin(s * T) for s in s_values if s != 0.0}
 
     trig1 = trig({u.s for u, _ in probes}, T1)
     trig2 = trig({v.s for _, v in probes}, T2)
@@ -431,15 +439,14 @@ class TestProbeSumsThreads:
     def test_error_in_either_half_reaches_the_caller(self, in_worker, monkeypatch):
         mu1, mu2, alpha = z3z5_pair()
         draws = draw_pair(mu1, mu2, 20_000, seed=6)
-        cos = np.cos
 
-        def failing_cos(*args, **kwargs):
-            # cos runs only in the halves; fail in one of them
+        def failing_cos_sin(*args):
+            # the trig runs only in the halves; fail in one of them
             if threading.current_thread().daemon == in_worker:
                 raise FloatingPointError("cos failed")
-            return cos(*args, **kwargs)
+            return _cos_sin(*args)
 
-        monkeypatch.setattr(np, "cos", failing_cos)
+        monkeypatch.setattr("heyde.symmetry._cos_sin", failing_cos_sin)
         before = threading.active_count()
         with pytest.raises(FloatingPointError, match="cos failed"):
             _probe_sums(alpha, draws, _default_probe_pairs(alpha.group, mu1, mu2))
@@ -525,6 +532,51 @@ class TestProbeSumsChunks:
         assert peak < 20 * _BLOCK * 8
 
 
+def cos_sin_arguments():
+    """Arguments of _cos_sin's accuracy test, by range."""
+    rng = np.random.default_rng(31)
+    n = 20_000
+    odd_pi = (2.0 * rng.integers(-10**6, 10**6, n) + 1.0) * np.pi
+    return {
+        "normal": rng.standard_normal(n),
+        "uniform_1e4": rng.uniform(-1e4, 1e4, n),
+        "uniform_1e8": rng.uniform(-1e8, 1e8, n),
+        # tan(x / 2) has its poles at the odd multiples of pi
+        "near_odd_pi": odd_pi + rng.uniform(-1e-9, 1e-9, n),
+        "odd_pi": odd_pi,
+        "small_odd_pi": (2.0 * np.arange(-50, 50) + 1.0) * np.pi,
+        "tiny": rng.uniform(-1.0, 1.0, n) * 1e-200,
+        "zero": np.array([0.0, -0.0]),
+    }
+
+
+class TestCosSin:
+    """_cos_sin, the probe stage's trig, against np.cos and np.sin."""
+
+    @pytest.mark.parametrize("name", sorted(cos_sin_arguments()))
+    def test_matches_numpy_trig(self, name):
+        x = cos_sin_arguments()[name]
+        cos, sin, scratch = x.copy(), np.empty_like(x), np.empty_like(x)
+        _cos_sin(cos, sin, scratch)
+        assert np.isfinite(cos).all() and np.isfinite(sin).all()
+        assert np.abs(cos - np.cos(x)).max() <= 4.5e-16
+        assert np.abs(sin - np.sin(x)).max() <= 4.5e-16
+        nonzero = x != 0.0
+        rel = np.abs(sin[nonzero] - np.sin(x[nonzero])) / np.abs(np.sin(x[nonzero]))
+        assert rel.max(initial=0.0) <= 1e-15
+
+    def test_each_element_depends_on_its_argument_alone(self):
+        # the stage applies it chunk by chunk, the oracle over all pairs
+        x = cos_sin_arguments()["uniform_1e4"]
+        whole_cos, whole_sin = x.copy(), np.empty_like(x)
+        _cos_sin(whole_cos, whole_sin, np.empty_like(x))
+        for lo, hi in [(0, 1), (3, 20), (7, 9_999), (9_999, 20_000)]:
+            cos, sin = x[lo:hi].copy(), np.empty(hi - lo)
+            _cos_sin(cos, sin, np.empty(hi - lo))
+            assert cos.tobytes() == whole_cos[lo:hi].tobytes()
+            assert sin.tobytes() == whole_sin[lo:hi].tobytes()
+
+
 class TestPairedDraws:
     """The pairs are drawn grouped by coset pair and probed in bin order,
     with the law of independent draws of xi_1 and xi_2."""
@@ -549,15 +601,14 @@ class TestPairedDraws:
         (t1, m1, g1), (t2, m2, g2) = expand_pairs(draws)
         assert [shift1[m, (int(g[0]),)] for m, g in zip(m1, g1)] == t1.tolist()
         assert [shift2[m, (int(g[0]),)] for m, g in zip(m2, g2)] == t2.tolist()
-        # s = 1 on both sides, so cos sees T1 and then T2 of each half
+        # s = 1 on both sides, so the trig sees T1 and then T2 of each half
         seen = []
-        cos = np.cos
 
-        def recording_cos(x, *args, **kwargs):
+        def recording_cos_sin(x, *args):
             seen.append((threading.current_thread().daemon, x.copy()))
-            return cos(x, *args, **kwargs)
+            return _cos_sin(x, *args)
 
-        monkeypatch.setattr(np, "cos", recording_cos)
+        monkeypatch.setattr("heyde.symmetry._cos_sin", recording_cos_sin)
         probes = [(x3.dual_point(1.0, 0, (0,)), x3.dual_point(1.0, 1, (1,)))]
         _probe_sums(alpha, draws, probes)
         halves = [[x for daemon, x in seen if daemon == worker] for worker in (False, True)]
