@@ -511,26 +511,13 @@ def _choices(p: np.ndarray, rng: np.random.Generator, n: int, u: np.ndarray):
     """n indices drawn with probabilities p, as (slice, indices) blocks of
     at most _BLOCK, the uniforms drawn into the buffer u.  They read and
     return what rng.choice(len(p), size=n, p=p) does: n uniforms, each
-    mapped to cdf.searchsorted(u, "right"), the number of cdf entries at
-    most u.  Up to 64 entries that number is counted directly, one compare
-    per entry in the narrowest unsigned type, ties and zero-weight plateaus
-    alike; it skips the last entry, 1.0, which no uniform reaches.  The
-    count takes about 0.3 ns per draw at 2 entries and 13-20 ns at 64,
-    against 9-12 and 45-58 ns for the binary search, which wins from about
-    256 entries on."""
+    mapped to cdf.searchsorted(u, "right")."""
     cdf = p.cumsum()
     cdf /= cdf[-1]
-    inner = cdf[:-1].tolist() if len(cdf) <= 64 else None
     for lo in range(0, n, _BLOCK):
         ub = u[: min(_BLOCK, n - lo)]
         rng.random(out=ub)
-        if inner is None:
-            idx = cdf.searchsorted(ub, "right")
-        else:
-            idx = np.zeros(len(ub), dtype=np.min_scalar_type(len(cdf)))
-            for edge in inner:
-                idx += ub >= edge
-        yield slice(lo, lo + len(ub)), idx
+        yield slice(lo, lo + len(ub)), cdf.searchsorted(ub, "right")
 
 
 def _coset_probs(cosets: Sequence) -> np.ndarray:

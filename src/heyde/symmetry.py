@@ -448,14 +448,18 @@ def _cos_sin(cos: np.ndarray, sin: np.ndarray, scratch: np.ndarray) -> None:
 
         cos(x) = (1 - tau**2) / (1 + tau**2),  sin(x) = 2 tau / (1 + tau**2).
 
-    The three arrays have one length; scratch is overwritten.  numpy
-    vectorizes tan but not float64 sin and cos, so this costs a few ns per
-    element where np.sin plus np.cos cost 25-56 ns.  Against np.cos and
-    np.sin the absolute error is at most 2.2e-16 and the relative error of
-    sin at most 3.5e-16 for |x| normal, near and at odd multiples of pi
-    (the poles of tau) included; tan(x/2) of a finite float is never
-    infinite, so every output is finite.  Each element's result depends on
-    its x alone, so chunking does not change a bit.
+    The three arrays have one length; scratch is overwritten.  The gain
+    rests on numpy's AVX-512 float64 tan kernel: where numpy dispatches to
+    it, tan is vectorized and float64 sin and cos are not, and this costs
+    a few ns per element where np.sin plus np.cos cost 25-56 ns (numpy
+    2.4.6 on an AVX-512 host, the only kind measured).  On AVX2 or ARM
+    hosts np.tan may be scalar libm, and the speed there is unmeasured.
+    On that host, against np.cos and np.sin, the absolute error is at most
+    2.2e-16 and the relative error of sin at most 3.5e-16 for |x| normal,
+    near and at odd multiples of pi (the poles of tau) included; tan(x/2)
+    of a finite float is never infinite, so every output is finite.  Each
+    element's result depends on its x alone, so chunking does not change a
+    bit.
     """
     np.multiply(cos, 0.5, out=sin)
     np.tan(sin, out=sin)

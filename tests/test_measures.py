@@ -741,52 +741,28 @@ class TestUnscoredAcceptance:
 
 
 class TestChoices:
-    """_choices maps each uniform to the number of cdf entries at most it,
-    by counting up to 64 entries and by binary search above."""
-
-    def cdf(self, p):
-        cdf = np.cumsum(p)
-        return cdf / cdf[-1]
+    """_choices reads and returns what rng.choice does, block by block."""
 
     @pytest.mark.parametrize(
         "p",
         [
             [1.0],
-            [0.5, 0.5],
+            np.random.default_rng(2).random(2),
             # zero-weight plateaus, leading and trailing
             [0.0, 0.25, 0.0, 0.0, 0.5, 0.0, 0.25, 0.0],
-            np.random.default_rng(1).random(64),
-            np.random.default_rng(2).random(65),
-            np.where(np.arange(300) % 7 == 0, 0.0, np.random.default_rng(3).random(300)),
+            np.random.default_rng(3).random(300),
         ],
-        ids=["1", "2", "plateaus", "64", "65", "300"],
+        ids=["1", "2", "plateaus", "300"],
     )
-    def test_matches_searchsorted(self, p):
+    def test_reads_the_stream_of_choice(self, p):
         p = np.asarray(p, dtype=float)
-        cdf = self.cdf(p)
-        # every cdf entry below 1 and its neighbours: the ties
-        edges = cdf[cdf < 1.0]
-        ties = np.concatenate((edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)))
-        uniforms = np.concatenate(([0.0, np.nextafter(1.0, 0.0)], ties))
-        uniforms = np.concatenate((uniforms, np.random.default_rng(4).random(_BLOCK)))
-        uniforms = uniforms[(uniforms >= 0.0) & (uniforms < 1.0)]
-        n = len(uniforms)
-        got = np.empty(n, dtype=np.int64)
-        for blk, idx in _choices(p / p.sum(), FixedRng(uniforms), n, np.empty(min(n, _BLOCK))):
-            got[blk] = idx
-        assert n > _BLOCK
-        assert got.tolist() == self.cdf(p / p.sum()).searchsorted(uniforms, "right").tolist()
-
-    @pytest.mark.parametrize("k", [2, 3, 64, 65])
-    def test_reads_the_stream_of_choice(self, k):
-        p = np.random.default_rng(k).random(k)
         p /= p.sum()
         rng, twin = np.random.default_rng(5), np.random.default_rng(5)
         n = _BLOCK + 17
         got = np.empty(n, dtype=np.int64)
         for blk, idx in _choices(p, rng, n, np.empty(_BLOCK)):
             got[blk] = idx
-        assert got.tolist() == twin.choice(k, size=n, p=p).tolist()
+        assert got.tolist() == twin.choice(len(p), size=n, p=p).tolist()
         assert rng.random() == twin.random()
 
 
