@@ -476,170 +476,114 @@ def _probe_sums(
 ) -> np.ndarray:
     """sum over the pairs of pair(L1, u) * Im pair(L2, v), per probe pair.
 
-    draws are the pairs of _sample_pair.  L1 and L2 share their Z(2)
-    coordinate m1 + m2, so a pair falls in one bin b = (m1 + m2, g1, g2) of
-    2|G|^2, on which the finite factors chi_u of pair(L1, u) and chi_v of
-    pair(L2, v) are constant.  With T1, T2 the real parts of L1, L2 and
-    e = exp(i s_u T1), the sum is
+    draws are the pairs of _sample_pair.  On a coset-pair cell (k1, k2) the
+    finite parts of L1 and L2, (m1 + m2, g1 + g2) and (m1 + m2,
+    g1 + alpha_G g2), are constant, and so are the finite factors chi_u of
+    pair(L1, u) and chi_v of pair(L2, v).  With T1, T2 the real parts of L1
+    and L2 and e = exp(i s_u T1), the sum is
 
-        sum_b chi_u(b) [Re chi_v(b) A_sin(b) + Im chi_v(b) A_cos(b)],
+        sum_c chi_u(c) [Re chi_v(c) A_sin(c) + Im chi_v(c) A_cos(c)],
 
-    A_sin(b) and A_cos(b) the bin sums of e sin(s_v T2) and e cos(s_v T2).
-    Each coset-pair cell (k1, k2) lies in one bin, so the C occupied cells
-    (C at most min(N, K1 K2)), put in (bin, k1, k2) order by a stable sort
-    of their keys, lay every bin out as one contiguous run; T1 = t1 + t2
-    and T2 = t1 + a t2 are written cell by cell into that order, one numpy
-    step per cell, with no sort or gather of the N pairs.  The trig runs
-    once per distinct nonzero s on each side, by _cos_sin: one vectorized
-    half-angle tangent, within 2.2e-16 of np.cos and np.sin, in the cos and
-    sin buffers with the product buffer as scratch.  At s = 0, cos and
-    sin are the constants 1 and 0, so a pair with s_v = 0 has A_sin = 0 and
-    A_cos the bin sums of e (the bin counts when s_u = 0 too), and a pair
-    with s_u = 0 only the bin sums of cos(s_v T2) and sin(s_v T2).  The bin
-    sums run once per distinct (s_u, s_v), and each probe pair then costs
-    the occupied bins, at most min(N, 2|G|^2).  T1, T2, the trig and the
-    bin sums run on two threads, each over the whole bins on its side of
-    the bin boundary nearest N/2.  Each thread walks its bins in chunks of
-    whole bins of at most _BLOCK pairs, or one bin when that is larger, so
-    each bin is still one reduceat segment and its sums are bit for bit
-    those of one pass over all pairs.  The chunks reuse one set of buffers
-    per thread: two per distinct nonzero s on each side and one for the
-    products, each of max(_BLOCK, largest bin) floats.  So beyond the draws
-    (16 bytes per pair) the stage holds O(max(_BLOCK, largest bin)) per
-    thread, and the largest bin sets the bound.
+    A_sin(c) and A_cos(c) the sums of e sin(s_v T2) and e cos(s_v T2) over
+    the C <= min(N, K1 K2) occupied cells c.  A cell is one run of t1 and
+    one of t2, cut into pieces of at most _BLOCK pairs; two threads split
+    the pieces at the boundary nearest N/2 and pack them into blocks of at
+    most _BLOCK pairs.  Per block, T1 = t1 + t2 and T2 = t1 + a t2 are
+    written piece by piece into reused buffers, _cos_sin runs once per
+    distinct nonzero s on each side (at s = 0, cos and sin are 1 and 0),
+    and one np.add.reduceat per product sums the pieces.  A piece's sum
+    depends on its pairs alone, and the piece sums are added up per cell
+    in piece order, so the result is bit for bit that of one thread.
+    Cost: O(K1 K2 + C + N/_BLOCK) pieces, O(N) per distinct nonzero s and
+    (s_u, s_v), O(C) per probe pair.  Memory beyond the draws: O(_BLOCK)
+    per thread, whatever the size of a cell, and four sums per piece and
+    distinct (s_u, s_v).
     """
     counts, (t1, m1, g1), (t2, m2, g2) = draws
-    G = alpha.group.G
-    a = alpha.a
-    dims = (2,) + G.cyclic_orders * 2
-
-    def cell_starts(table: np.ndarray) -> np.ndarray:
-        # where each cell's draws start, the cells laid out in row-major order
-        flat = table.ravel()
-        return (np.cumsum(flat) - flat).reshape(table.shape)
-
-    # t1 holds the cells in row-major order, t2 in column-major order
-    start1, start2 = cell_starts(counts), cell_starts(counts.T).T
     k1, k2 = np.nonzero(counts)
-    key = np.ravel_multi_index((m1[k1] ^ m2[k2], *g1[k1].T, *g2[k2].T), dims)
-    # occupied cells in (bin, k1, k2) order: np.nonzero lists them in
-    # (k1, k2) order and the sort is stable
-    order = np.argsort(key, kind="stable")
-    k1, k2, key = k1[order], k2[order], key[order]
-    sizes, from1, from2 = counts[k1, k2], start1[k1, k2], start2[k1, k2]
-    first = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
-    starts = cell_starts(sizes)[first]
-    bin_m, bin_g1, bin_g2 = m1[k1[first]] ^ m2[k2[first]], g1[k1[first]], g2[k2[first]]
-    # finite parts of L1 and L2 per bin; the pairing is periodic in each
-    bin_f1 = bin_g1 + bin_g2
-    bin_f2 = bin_g1 + bin_g2 @ np.array(alpha.alpha_G.matrix, dtype=np.int64).T
+    sizes = counts[k1, k2]
+    # where each cell starts: t1 holds the cells in row-major order, t2 in
+    # column-major order
+    from1 = np.cumsum(sizes) - sizes
+    from2 = np.cumsum(counts.T).reshape(counts.T.shape).T[k1, k2] - sizes
+    cell_m = m1[k1] ^ m2[k2]
 
-    def finite_factors(ys, bin_f):
-        # chi over the occupied bins, one column per distinct (n, h)
+    def finite_factors(ys, cell_f):
+        # chi over the occupied cells, one column per distinct (n, h); the
+        # pairing is periodic in cell_f
         columns: dict[tuple, int] = {}
         index = [columns.setdefault((y.n, y.h.coords), len(columns)) for y in ys]
-        n = [c[0] for c in columns]
-        h = [c[1] for c in columns]
-        return np.array(index), pairing(G, bin_f, h, bin_m, n)
+        h, n = [c[1] for c in columns], [c[0] for c in columns]
+        return np.array(index), pairing(alpha.group.G, cell_f, h, cell_m, n)
 
-    qu, chi_u = finite_factors([u for u, _ in probes], bin_f1)
-    qv, chi_v = finite_factors([v for _, v in probes], bin_f2)
+    A = np.array(alpha.alpha_G.matrix, dtype=np.int64)
+    qu, chi_u = finite_factors([u for u, _ in probes], g1[k1] + g2[k2])
+    qv, chi_v = finite_factors([v for _, v in probes], g1[k1] + g2[k2] @ A.T)
 
     groups: dict[tuple[float, float], list[int]] = {}
     for k, (u, v) in enumerate(probes):
         groups.setdefault((u.s, v.s), []).append(k)
-    s_us = {s_u for s_u, _ in groups if s_u != 0.0}
-    s_vs = {s_v for _, s_v in groups if s_v != 0.0}
 
-    n = len(t1)
-    # bin b holds the cells cell_at[b] to cell_at[b + 1] and the pairs
-    # pair_at[b] to pair_at[b + 1]
-    cell_at = np.append(first, len(key))
-    pair_at = np.append(starts, n)
+    # (start in t1, start in t2, length) per piece; piece p holds the pairs
+    # at[p] to at[p + 1], and cell c the pieces first[c] to first[c + 1]
+    pieces = [
+        (x + i, y + i, min(_BLOCK, k - i))
+        for x, y, k in zip(from1.tolist(), from2.tolist(), sizes.tolist())
+        for i in range(0, k, _BLOCK)
+    ]
+    at = np.append([x for x, _, _ in pieces], len(t1))
+    first = np.searchsorted(at, from1)
 
-    def bin_sums(b0: int, b1: int) -> dict:
-        # (A_sin, A_cos) per (s_u, s_v) over the bins b0 to b1, walked in
-        # chunks of whole bins of at most _BLOCK pairs (one bin when it is
-        # larger), in buffers reused from chunk to chunk; rows of sums are
-        # the bin sums of Re and Im of A_sin, then of A_cos
-        width = min(
-            max(_BLOCK, int(np.diff(pair_at[b0 : b1 + 1]).max(initial=0))),
-            int(pair_at[b1] - pair_at[b0]),
-        )
+    def piece_sums(lo: int, hi: int) -> dict:
+        # per (s_u, s_v), the sums of pieces lo to hi: rows Re and Im of
+        # A_sin, then of A_cos
+        width = min(_BLOCK, int(at[hi] - at[lo]))
         prod = np.empty(width)
-        # (cos(s T), sin(s T)) per distinct nonzero s on each side
-        trig1 = {s: (np.empty(width), np.empty(width)) for s in s_us}
-        trig2 = {s: (np.empty(width), np.empty(width)) for s in s_vs}
-        sums = {s_pair: np.zeros((4, b1 - b0)) for s_pair in groups}
+        # (cos(s T), sin(s T)) per side j (0 for T1, 1 for T2) and distinct
+        # nonzero s
+        sides = {(j, s) for s_pair in groups for j, s in enumerate(s_pair) if s != 0.0}
+        trig = {side: (np.empty(width), np.empty(width)) for side in sorted(sides)}
+        sums = {s_pair: np.zeros((4, hi - lo)) for s_pair in groups}
+        work = []  # (row, x, y): the row sums x * y, or x where y is None
+        for (s_u, s_v), rows in sums.items():
+            if s_u != 0.0 and s_v != 0.0:
+                (cos_u, sin_u), (cos_v, sin_v) = trig[0, s_u], trig[1, s_v]
+                factors = ((cos_u, sin_v), (sin_u, sin_v), (cos_u, cos_v), (sin_u, cos_v))
+                work += [(row, x, y) for row, (x, y) in zip(rows, factors)]
+            elif s_v != 0.0:
+                work += [(rows[0], trig[1, s_v][1], None), (rows[2], trig[1, s_v][0], None)]
+            elif s_u != 0.0:
+                work += [(rows[2], trig[0, s_u][0], None), (rows[3], trig[0, s_u][1], None)]
+        p = lo
+        while p < hi:
+            # the block: the most whole pieces from p within _BLOCK pairs
+            q = min(int(np.searchsorted(at, at[p] + _BLOCK, "right")) - 1, hi)
+            n, seg = int(at[q] - at[p]), at[p:q] - at[p]
+            for (j, s), (cos_s, sin_s) in trig.items():
+                for (x, y, k), to in zip(pieces[p:q], seg.tolist()):
+                    T = cos_s[to : to + k]
+                    if j == 0:
+                        np.add(t1[x : x + k], t2[y : y + k], out=T)
+                    else:
+                        np.multiply(t2[y : y + k], alpha.a, out=T)
+                        T += t1[x : x + k]
+                cos_s[:n] *= s
+                _cos_sin(cos_s[:n], sin_s[:n], prod[:n])
+            for row, x, y in work:
+                w = x[:n] if y is None else np.multiply(x[:n], y[:n], out=prod[:n])
+                np.add.reduceat(w, seg, out=row[p - lo : q - lo])
+            p = q
+        return sums
 
-        def bin_sum(weights: np.ndarray, row: np.ndarray) -> None:
-            # the chunk's bin sums of weights into its columns of row
-            np.add.reduceat(weights[:at], seg, out=row[b - b0 : e - b0])
-
-        b = b0
-        while b < b1:
-            # the chunk: bins b to e, the most whole bins from b within _BLOCK
-            # pairs, and at least one
-            e = int(np.searchsorted(pair_at, pair_at[b] + _BLOCK, "right")) - 1
-            e = min(max(b + 1, e), b1)
-            c0, c1 = int(cell_at[b]), int(cell_at[e])
-            cells = list(zip(*(col[c0:c1].tolist() for col in (from1, from2, sizes))))
-            at = int(pair_at[e] - pair_at[b])
-            for of_l1, trig in ((True, trig1), (False, trig2)):
-                for s, (cos_s, sin_s) in trig.items():
-                    # T1 = t1 + t2 or T2 = t1 + a t2 in bin order, cell by
-                    # cell, then s T in place
-                    to = 0
-                    for x, y, k in cells:
-                        x1, x2, T = t1[x : x + k], t2[y : y + k], cos_s[to : to + k]
-                        if of_l1:
-                            np.add(x1, x2, out=T)
-                        else:
-                            np.multiply(x2, a, out=T)
-                            T += x1
-                        to += k
-                    cos_s[:at] *= s
-                    _cos_sin(cos_s[:at], sin_s[:at], prod[:at])
-            seg = pair_at[b:e] - pair_at[b]
-            for (s_u, s_v), rows in sums.items():
-                if s_v == 0.0:
-                    if s_u != 0.0:
-                        bin_sum(trig1[s_u][0], rows[2])
-                        bin_sum(trig1[s_u][1], rows[3])
-                elif s_u == 0.0:
-                    bin_sum(trig2[s_v][1], rows[0])
-                    bin_sum(trig2[s_v][0], rows[2])
-                else:
-                    (cos_u, sin_u), (cos_v, sin_v) = trig1[s_u], trig2[s_v]
-                    factors = ((cos_u, sin_v), (sin_u, sin_v), (cos_u, cos_v), (sin_u, cos_v))
-                    for row, (x, y) in zip(rows, factors):
-                        np.multiply(x[:at], y[:at], out=prod[:at])
-                        bin_sum(prod, row)
-            b = e
-
-        out = {}
-        for (s_u, s_v), (re_sin, im_sin, re_cos, im_cos) in sums.items():
-            if s_v == 0.0:
-                a_sin = np.zeros(b1 - b0)
-                if s_u == 0.0:
-                    a_cos = np.diff(pair_at[b0 : b1 + 1]).astype(float)
-                else:
-                    a_cos = re_cos + 1j * im_cos
-            elif s_u == 0.0:
-                a_sin, a_cos = re_sin, re_cos
-            else:
-                a_sin, a_cos = re_sin + 1j * im_sin, re_cos + 1j * im_cos
-            out[s_u, s_v] = a_sin, a_cos
-        return out
-
-    j = int(np.argmin(np.abs(pair_at - n / 2)))
-    low, high = _on_two_threads(lambda: bin_sums(0, j), lambda: bin_sums(j, len(starts)))
-
+    cut = int(np.argmin(np.abs(at - len(t1) / 2)))
+    low, high = _on_two_threads(lambda: piece_sums(0, cut), lambda: piece_sums(cut, len(pieces)))
     sums = np.empty(len(probes), dtype=complex)
     for s_pair, members in groups.items():
-        a_sin, a_cos = (np.concatenate(halves) for halves in zip(low[s_pair], high[s_pair]))
-        table = chi_u.T @ (a_sin[:, None] * chi_v.real + a_cos[:, None] * chi_v.imag)
-        sums[members] = table[qu[members], qv[members]]
+        rows = np.concatenate((low[s_pair], high[s_pair]), axis=1)
+        re_sin, im_sin, re_cos, im_cos = np.add.reduceat(rows, first, axis=1)
+        a_cos = sizes if s_pair == (0.0, 0.0) else re_cos + 1j * im_cos
+        chi = (re_sin + 1j * im_sin)[:, None] * chi_v.real + a_cos[:, None] * chi_v.imag
+        sums[members] = (chi_u.T @ chi)[qu[members], qv[members]]
     return sums
 
 
@@ -668,19 +612,18 @@ def mc_symmetry_test(
     coset counts, then O(N) per measure (rejection makes about N / p
     proposals on a continuous coset of acceptance rate p, and scores them
     against the density only on a coset with a negative term; the normal
-    and uniform draws are most of the rest).  The probe stage
-    costs O(K1 K2 + C log C) to find and order the C <= min(N, K1 K2)
-    occupied cells, one numpy step per occupied cell, O(N) per distinct
-    nonzero s and per distinct (s_u, s_v) other than (0, 0), and
-    O(min(N, 2|G|^2)) per probe pair (see _probe_sums); it neither sorts
-    nor gathers the N pairs, and its trig is one vectorized tangent per
-    pair and distinct nonzero s.  Both stages run on two threads, and the
-    result is bit for bit that of one thread.  Memory: the draws take 16
-    bytes per pair; beyond them, sampling holds 9 bytes per proposal of a
-    coset's first rejection round (at most 10^6) plus O(_BLOCK) per thread,
-    and the probe stage O(max(_BLOCK, largest bin)) per thread, so the
-    largest bin sets the bound.  A non-finite statistic, or n_samples < 1,
-    raises ValueError.
+    and uniform draws are most of the rest).  The probe stage works cell
+    by cell over the C <= min(N, K1 K2) occupied cells, cut into
+    O(C + N/_BLOCK) pieces: O(K1 K2) to find them, one numpy step per piece
+    and side, O(N) per distinct nonzero s and per distinct (s_u, s_v) other
+    than (0, 0), and O(C) per probe pair (see _probe_sums); it neither
+    sorts nor gathers the N pairs, and its trig is one vectorized tangent
+    per pair and distinct nonzero s.  Both stages run on two threads, and
+    the result is bit for bit that of one thread.  Memory: the draws take
+    16 bytes per pair; beyond them, sampling holds 9 bytes per proposal of
+    a coset's first rejection round (at most 10^6) plus O(_BLOCK) per
+    thread, and the probe stage O(_BLOCK) per thread.  A non-finite
+    statistic, or n_samples < 1, raises ValueError.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")

@@ -55,6 +55,38 @@ def paired_samples(mu1, mu2, n_samples, seed):
     return expand_pairs(_sample_pair(mu1, mu2, seed, n_samples))
 
 
+def pair_on_samples(group, t, m, g, y):
+    """pair((t, m, g), y) over sample arrays, straight from the formula."""
+    orders = np.array(group.G.cyclic_orders)
+    finite = 2.0 * np.pi * ((g * np.array(y.h.coords)) / orders).sum(axis=1)
+    sign = np.where((m.astype(int) * y.n) % 2 == 1, -1.0, 1.0)
+    return np.exp(1j * (y.s * t + finite)) * sign
+
+
+def values_on_pairs(alpha, pairs, probes):
+    """|mean(w1 * w2) - mean(w1 * conj(w2))| per probe pair (u, v), w1 on L1
+    and w2 on L2 of the pairs, given one row per pair as expand_pairs gives
+    them."""
+    group = alpha.group
+    (t1, m1, g1), (t2, m2, g2) = pairs
+    g2a = g2 @ np.array(alpha.alpha_G.matrix).T
+    L1 = (t1 + t2, m1 + m2, g1 + g2)
+    L2 = (t1 + alpha.a * t2, m1 + m2, g1 + g2a)
+    # rows of pair(L, y) per distinct dual point y; the means of the
+    # products of rows are matrix products over the pairs
+    us = {u: i for i, u in enumerate(dict.fromkeys(u for u, _ in probes))}
+    vs = {v: j for j, v in enumerate(dict.fromkeys(v for _, v in probes))}
+    w1 = np.array([pair_on_samples(group, *L1, u) for u in us]).reshape(len(us), len(t1))
+    w2 = np.array([pair_on_samples(group, *L2, v) for v in vs]).reshape(len(vs), len(t1))
+    mean, mean_conj = w1 @ w2.T / len(t1), w1 @ np.conj(w2).T / len(t1)
+    return [abs(mean[us[u], vs[v]] - mean_conj[us[u], vs[v]]) for u, v in probes]
+
+
+def values_by_definition(mu1, mu2, alpha, n_samples, probes, seed):
+    """values_on_pairs over the pairs mc_symmetry_test draws at seed."""
+    return values_on_pairs(alpha, paired_samples(mu1, mu2, n_samples, seed), probes)
+
+
 @pytest.fixture
 def z3():
     return FiniteAbelianGroup((3,))

@@ -1,8 +1,8 @@
 """The pairing kernel and the evaluators built on it, against definitions.
 
 char_values is compared with a per-term sum over the dense char_table, and
-the Monte Carlo statistic with its definition evaluated here on the same
-samples with plain numpy.
+the Monte Carlo statistic with its definition evaluated on the same samples
+with plain numpy (conftest.values_by_definition).
 """
 
 import cmath
@@ -22,7 +22,7 @@ from heyde import (
     mc_symmetry_test,
 )
 from heyde.symmetry import _default_probe_pairs
-from conftest import paired_samples, perturb_coefficient, standard_instance
+from conftest import perturb_coefficient, standard_instance, values_by_definition
 
 ORDERS = [(3,), (9,), (3, 3, 5)]
 
@@ -99,28 +99,6 @@ def test_char_values_default_dual_is_whole_finite_dual():
     n = np.repeat([0, 1], G.order)
     h = np.tile(G.all_coords(), (2, 1))
     assert np.array_equal(full, char_values(mu, [0.0, 0.7], n, h))
-
-
-def pair_on_samples(group, t, m, g, y):
-    """pair((t, m, g), y) over sample arrays, straight from the formula."""
-    orders = np.array(group.G.cyclic_orders)
-    finite = 2.0 * np.pi * ((g * np.array(y.h.coords)) / orders).sum(axis=1)
-    return np.exp(1j * (y.s * t + finite)) * (-1.0) ** ((m.astype(int) * y.n) % 2)
-
-
-def values_by_definition(mu1, mu2, alpha, n_samples, probes, seed):
-    """|mean(w1 * w2) - mean(w1 * conj(w2))| per probe pair (u, v), w1 on L1, w2 on L2."""
-    group = mu1.group
-    (t1, m1, g1), (t2, m2, g2) = paired_samples(mu1, mu2, n_samples, seed)
-    g2a = g2 @ np.array(alpha.alpha_G.matrix).T
-    L1 = (t1 + t2, m1 + m2, g1 + g2)
-    L2 = (t1 + alpha.a * t2, m1 + m2, g1 + g2a)
-    values = []
-    for u, v in probes:
-        w1 = pair_on_samples(group, *L1, u)
-        w2 = pair_on_samples(group, *L2, v)
-        values.append(abs((w1 * w2).mean() - (w1 * np.conj(w2)).mean()))
-    return values
 
 
 def statistic_by_definition(mu1, mu2, alpha, n_samples, probes, seed):
