@@ -507,17 +507,39 @@ def _check_samplable(mu: AtomicSignedMeasure) -> None:
 _BLOCK = 1 << 16
 
 
-def _choices(p: np.ndarray, rng: np.random.Generator, n: int, u: np.ndarray):
+def _choices(p: np.ndarray, rng: np.random.Generator, n: int):
     """n indices drawn with probabilities p, as (slice, indices) blocks of
-    at most _BLOCK, the uniforms drawn into the buffer u.  They read and
-    return what rng.choice(len(p), size=n, p=p) does: n uniforms, each
-    mapped to cdf.searchsorted(u, "right")."""
+    at most _BLOCK, the uniforms and the indices in buffers that the next
+    block reuses.  They read and return what rng.choice(len(p), size=n,
+    p=p) does: n uniforms, each mapped to cdf.searchsorted(u, "right"), the
+    number of cdf entries at or below it.  Since u < 1 = cdf[-1], that is a
+    count over cdf[:-1], found by a branchless binary search: cdf[:-1]
+    padded with +inf to 2^k - 1 entries, then k passes of take, compare and
+    add, 2^k >= len(p)."""
     cdf = p.cumsum()
     cdf /= cdf[-1]
+    width = 1 << (len(p) - 1).bit_length()
+    edges = np.full(width - 1, np.inf)
+    edges[: len(p) - 1] = cdf[:-1]
+    size = min(n, _BLOCK)
+    u, val = np.empty(size), np.empty(size)
+    idx, add = np.zeros(size, dtype=np.intp), np.empty(size, dtype=np.intp)
+    up = np.empty(size, dtype=bool)
     for lo in range(0, n, _BLOCK):
-        ub = u[: min(_BLOCK, n - lo)]
+        ub, ib, upb, valb, addb = (a[: min(_BLOCK, n - lo)] for a in (u, idx, up, val, add))
         rng.random(out=ub)
-        yield slice(lo, lo + len(ub)), cdf.searchsorted(ub, "right")
+        step = width >> 1
+        if step:
+            np.greater_equal(ub, edges[step - 1], out=upb)
+            np.multiply(upb, step, out=ib)
+        while step > 1:
+            step >>= 1
+            # every index is in range, and "clip" writes out unbuffered
+            np.take(edges[step - 1 :], ib, out=valb, mode="clip")
+            np.greater_equal(ub, valb, out=upb)
+            np.multiply(upb, step, out=addb)
+            ib += addb
+        yield slice(lo, lo + len(ub)), ib
 
 
 def _coset_probs(cosets: Sequence) -> np.ndarray:
@@ -549,8 +571,7 @@ def _draw_blocks(cosets: Sequence, counts: np.ndarray, rng: np.random.Generator)
         if n_point:
             locs = np.array([loc for loc, _ in points])
             ws = np.array([max(c, 0.0) for _, c in points])
-            u = np.empty(min(n_point, _BLOCK))
-            for blk, idx in _choices(ws / ws.sum(), rng, n_point, u):
+            for blk, idx in _choices(ws / ws.sum(), rng, n_point):
                 ts[blk] = locs[idx]
         if n_point < need:
             _rejection_sample(cont, rng, ts[n_point:])
@@ -563,8 +584,9 @@ def sample_arrays(
     """count i.i.d. draws as arrays (t, m, g coordinates).
 
     The measure must pass is_distribution; coset probabilities are coset
-    masses over the total.  Continuous cosets are drawn by rejection under
-    the positive-part mixture inflated by 1.1.
+    masses over the total.  A continuous coset is drawn directly from its
+    mixture when it has no negative term, and otherwise by rejection under
+    its positive-part mixture (see _rejection_sample).
     """
     _check_samplable(mu)
     cosets = mu._cosets
@@ -589,48 +611,57 @@ def _rejection_sample(
     cont: Sequence[tuple[float, float, float]], rng: np.random.Generator, out: np.ndarray
 ) -> None:
     """Fill out with draws from a coset's continuous part, its (c, sigma,
-    shift) rows, by rejection under its positive-part mixture inflated by
-    1.1.  A proposal is accepted with probability p = (continuous mass) /
-    (1.1 * positive mass), so a round of (need + 4 sqrt(need) + 8) / p
-    proposals, at most 10^6, almost always suffices.  After 10^4 *
-    (len(out) + 1) proposals it raises RuntimeError.
+    shift) rows.  A coset with no negative term is its positive mixture,
+    drawn directly: len(out) component uniforms (only with two or more
+    terms), then len(out) normals, the stream of rng.choice(p=...) and
+    standard_normal.
 
-    A round of n proposals reads n component uniforms (only with two or
-    more positive terms), n normals and n acceptance uniforms from rng, in
-    that order: the stream of rng.choice(p=...), standard_normal and random
-    with n each, the uniforms drawn _BLOCK at a time into one buffer.  A
-    round that fills out early still draws its remaining uniforms, so rng
-    ends where the whole-round draws leave it.  Memory beyond out: 9 bytes
-    per proposal of the first round (normals, 1-byte components) plus
-    O(_BLOCK).
+    Any other is drawn by rejection under its positive-part mixture, which
+    its density never exceeds: a proposal t is accepted when u * env(t) <
+    dens(t), env the positive-part density, with probability p =
+    (continuous mass) / (positive mass), so a round of (need + 4 sqrt(need)
+    + 8) / p proposals, at most 10^6, almost always suffices.  After 10^4 *
+    (len(out) + 1) proposals it raises RuntimeError.  A round of n
+    proposals reads n component uniforms, n normals and n acceptance
+    uniforms, in that order, the uniforms drawn _BLOCK at a time; a round
+    that fills out early still draws its remaining uniforms, so rng ends
+    where whole-round choice, standard_normal and random calls leave it.
 
-    A proposal t is accepted when fl(u * 1.1) * env(t) < dens(t), env the
-    positive-part density.  On a coset with no negative term dens and env
-    are the same additions in the same order, so they are equal bit for
-    bit, and the test is fl(u * 1.1) < 1 whenever env(t) > 2^-1022; such a
-    coset is not scored at all, and draws the same stream.  The one
-    difference: a proposal whose density is at most 2^-1022 = 2.2e-308
-    (some 37 standard deviations out) is accepted, as the exact mixture
-    says it should be, where scoring may reject it, and always does once
-    the density underflows to 0.
+    Memory beyond out: 1 byte per draw drawn directly, or 9 bytes per
+    proposal of the first rejection round, plus O(_BLOCK).
     """
     need = len(out)
     w, sigmas, shifts = (np.array(col) for col in zip(*(row for row in cont if row[0] > 0.0)))
-    w_probs = w / w.sum()
-    accept_rate = sum(c for c, _, _ in cont) / (1.1 * w.sum())
     scales = np.sqrt(2.0 * sigmas)
+
+    def propose(t):
+        # len(t) component picks (two or more terms), then len(t) normals
+        # into t, scaled and shifted block by block in place
+        comp = None
+        if len(w) > 1:
+            comp = np.empty(len(t), dtype=np.min_scalar_type(len(w) - 1))
+            for blk, idx in _choices(w / w.sum(), rng, len(t)):
+                comp[blk] = idx
+        rng.standard_normal(out=t)
+        for lo in range(0, len(t), _BLOCK):
+            tb = t[lo : lo + _BLOCK]
+            cb = 0 if comp is None else comp[lo : lo + _BLOCK]
+            tb *= scales[cb]
+            tb += shifts[cb]
+
+    if not any(c < 0.0 for c, _, _ in cont):
+        propose(out)
+        return
+    accept_rate = sum(c for c, _, _ in cont) / w.sum()
     # each term's density in _density's order of operations, so that every
     # acceptance decision is the same bit for bit
     consts = [
         (c, shift, -4.0 * sigma, 2.0 * math.sqrt(math.pi * sigma)) for c, sigma, shift in cont
     ]
-    # with no negative term the density and envelope are one sum, bit for
-    # bit, so fl(u * 1.1) * env < dens is fl(u * 1.1) < 1 for env > 2^-1022
-    scored = any(c < 0.0 for c, _, _ in cont)
     got = 0
     proposed = 0
     cap = 10_000 * (need + 1)
-    normals = comp = None
+    normals = None
     while got < need:
         if proposed >= cap:
             raise RuntimeError("rejection sampling exceeded the retry cap")
@@ -642,45 +673,32 @@ def _rejection_sample(
         if normals is None:
             # the first round is the largest: its buffers serve every round
             normals = np.empty(n_prop)
-            comp = np.empty(n_prop, dtype=np.min_scalar_type(len(w) - 1)) if len(w) > 1 else None
-            u = np.empty(min(n_prop, _BLOCK))
-            d, dens, env = (np.empty(len(u) if scored else 0) for _ in range(3))
+            u, d, dens, env = (np.empty(min(n_prop, _BLOCK)) for _ in range(4))
             accept = np.empty(len(u), dtype=bool)
-        blocks = [slice(lo, min(lo + _BLOCK, n_prop)) for lo in range(0, n_prop, _BLOCK)]
         # the draws per round, in this order and of these sizes: the samples
         # at a seed depend on it
-        if comp is not None:
-            for blk, idx in _choices(w_probs, rng, n_prop, u):
-                comp[blk] = idx
         t = normals[:n_prop]
-        rng.standard_normal(out=t)
-        for blk in blocks:
-            ub, ab, db, densb, envb = (a[: blk.stop - blk.start] for a in (u, accept, d, dens, env))
+        propose(t)
+        for lo in range(0, n_prop, _BLOCK):
+            tb = t[lo : lo + _BLOCK]
+            ub, ab, db, densb, envb = (a[: len(tb)] for a in (u, accept, d, dens, env))
             rng.random(out=ub)
             if got == need:
                 continue  # the round is filled; its uniforms are still drawn
-            tb = t[blk]
-            cb = 0 if comp is None else comp[blk]
-            tb *= scales[cb]
-            tb += shifts[cb]
-            ub *= 1.1
-            if scored:
-                densb.fill(0.0)
-                envb.fill(0.0)
-                for c, shift, neg_4sigma, norm in consts:
-                    np.subtract(tb, shift, out=db)
-                    np.square(db, out=db)
-                    np.divide(db, neg_4sigma, out=db)
-                    np.exp(db, out=db)
-                    np.divide(db, norm, out=db)
-                    db *= c
-                    densb += db
-                    if c > 0.0:
-                        envb += db
-                ub *= envb
-                np.less(ub, densb, out=ab)
-            else:
-                np.less(ub, 1.0, out=ab)
+            densb.fill(0.0)
+            envb.fill(0.0)
+            for c, shift, neg_4sigma, norm in consts:
+                np.subtract(tb, shift, out=db)
+                np.square(db, out=db)
+                np.divide(db, neg_4sigma, out=db)
+                np.exp(db, out=db)
+                np.divide(db, norm, out=db)
+                db *= c
+                densb += db
+                if c > 0.0:
+                    envb += db
+            ub *= envb
+            np.less(ub, densb, out=ab)
             # accepted proposals go to out in proposal order
             k = int(np.count_nonzero(ab))
             if k >= need - got:

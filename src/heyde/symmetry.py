@@ -609,10 +609,10 @@ def mc_symmetry_test(
     KEY_TOL of it, since conjugate probes can tie up to rounding.
     The pairs are drawn grouped by coset pair (see _sample_pair): one
     multinomial table of K1 K2 coset-pair counts, K1 and K2 the measures'
-    coset counts, then O(N) per measure (rejection makes about N / p
-    proposals on a continuous coset of acceptance rate p, and scores them
-    against the density only on a coset with a negative term; the normal
-    and uniform draws are most of the rest).  The probe stage works cell
+    coset counts, then O(N) per measure (a continuous coset with no
+    negative term is drawn directly from its mixture; rejection makes about
+    N / p proposals on any other, of acceptance rate p; the normal and
+    uniform draws are most of the rest).  The probe stage works cell
     by cell over the C <= min(N, K1 K2) occupied cells, cut into
     O(C + N/_BLOCK) pieces: O(K1 K2) to find them, one numpy step per piece
     and side, O(N) per distinct nonzero s and per distinct (s_u, s_v) other
@@ -620,10 +620,11 @@ def mc_symmetry_test(
     sorts nor gathers the N pairs, and its trig is one vectorized tangent
     per pair and distinct nonzero s.  Both stages run on two threads, and
     the result is bit for bit that of one thread.  Memory: the draws take
-    16 bytes per pair; beyond them, sampling holds 9 bytes per proposal of
-    a coset's first rejection round (at most 10^6) plus O(_BLOCK) per
-    thread, and the probe stage O(_BLOCK) per thread.  A non-finite
-    statistic, or n_samples < 1, raises ValueError.
+    16 bytes per pair; beyond them, sampling holds 1 byte per draw of a
+    coset drawn directly, or 9 bytes per proposal of a coset's first
+    rejection round (at most 10^6), plus O(_BLOCK) per thread, and the
+    probe stage O(_BLOCK) per thread.  A non-finite statistic, or
+    n_samples < 1, raises ValueError.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")

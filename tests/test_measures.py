@@ -444,7 +444,7 @@ class TestSampling:
                     (-0.25, 0.5, 0.0, 1, (2,)),
                 ],
                 3,
-                ("0f622db6e9db908b", "b4ecd5eb6e764b38", "26fe013b236ef00f"),
+                ("fa60a8d3318ce990", "f4ff695405edec0a", "c0a2c892e12da8d4"),
                 id="negative_continuous",
             ),
             pytest.param(
@@ -469,7 +469,7 @@ class TestSampling:
                     (0.4, 1.2, -0.4, 0, (2, 4)),
                 ],
                 7,
-                ("5148d5cbb2ca73c6", "96142b0038d4a572", "11c0f4bb6fbda840"),
+                ("b3d5cfb0c6b21263", "86826cf94acd2205", "c615502d409f0889"),
                 id="mixed_coset_z3z5",
             ),
         ],
@@ -521,28 +521,46 @@ class RecordingRng:
         return recorded
 
 
-# signed continuous cosets: (c, sigma, shift) terms, each a distribution
+# continuous cosets: (c, sigma, shift) terms, each a distribution; the
+# signed ones are drawn by rejection, the unsigned ones directly
 SIGNED_COSETS = {
     "one_positive": [(1.0, 1.0, 0.0), (-0.25, 0.5, 0.0)],
     "two_positive": [(0.6, 1.0, -0.5), (0.5, 1.0, 1.0), (-0.1, 0.2, 0.0)],
 }
+UNSIGNED_COSETS = {
+    "one_positive_unsigned": [(1.0, 0.7, 0.3)],
+    "two_positive_unsigned": [(0.6, 1.0, -0.5), (0.4, 0.3, 1.2)],
+    "three_positive_unsigned": [(0.5, 1.0, -0.3), (0.3, 0.8, 0.2), (0.2, 0.1, 1.5)],
+}
+
+
+def positive_parts(cont):
+    """The weights, scales sqrt(2 sigma) and shifts of the positive terms."""
+    w, sigmas, shifts = (np.array(col) for col in zip(*(row for row in cont if row[0] > 0.0)))
+    return w, np.sqrt(2.0 * sigmas), shifts
+
+
+def acceptance_rate(cont):
+    """Continuous mass over positive mass: the exact envelope's rate."""
+    return sum(c for c, _, _ in cont) / sum(c for c, _, _ in cont if c > 0.0)
 
 
 class TestRejectionSample:
     """_rejection_sample proposes (need + 4 sqrt(need) + 8) / p per round,
-    p the coset's acceptance rate, and draws components only when there are
-    two or more positive terms."""
+    p the coset's acceptance rate, on a coset with a negative term, and
+    draws a coset with none directly; either way it draws components only
+    when there are two or more positive terms."""
 
     def coset(self, x9, terms):
         mu = AtomicSignedMeasure.from_terms(x9, [(c, s, t, 0, (0,)) for c, s, t in terms])
         assert is_distribution(mu).is_yes
         return list(zip(mu.c.tolist(), mu.sigma.tolist(), mu.shift.tolist()))
 
-    @pytest.mark.parametrize("name", sorted(SIGNED_COSETS))
+    @pytest.mark.parametrize("name", sorted(SIGNED_COSETS) + sorted(UNSIGNED_COSETS))
     def test_kolmogorov_smirnov_against_exact_coset_cdf(self, x9, name):
         from scipy.stats import kstest, norm
 
-        terms = SIGNED_COSETS[name]
+        terms = {**SIGNED_COSETS, **UNSIGNED_COSETS}[name]
         out = np.empty(50_000)
         _rejection_sample(self.coset(x9, terms), np.random.default_rng(12), out)
         mass = sum(c for c, _, _ in terms)
@@ -556,8 +574,7 @@ class TestRejectionSample:
     @pytest.mark.parametrize("need", [1, 37, 20_000])
     def test_one_round_fills_a_coset_accepting_above_half(self, x9, name, need):
         terms = self.coset(x9, SIGNED_COSETS[name])
-        pos_mass = sum(c for c, _, _ in terms if c > 0.0)
-        rate = sum(c for c, _, _ in terms) / (1.1 * pos_mass)
+        rate = acceptance_rate(terms)
         assert rate > 0.5
         rng = RecordingRng(3)
         out = np.full(need, np.nan)
@@ -575,6 +592,22 @@ class TestRejectionSample:
         drawn = {m: sum(size for method, size in rng.calls if method == m) for m in set(methods)}
         assert drawn == {"standard_normal": n_prop, "random": n_prop + ahead}
 
+    @pytest.mark.parametrize("name", sorted(UNSIGNED_COSETS))
+    @pytest.mark.parametrize("need", [1, 37, _BLOCK + 17])
+    def test_a_coset_with_no_negative_term_reads_components_then_normals(self, x9, name, need):
+        terms = self.coset(x9, UNSIGNED_COSETS[name])
+        rng = RecordingRng(3)
+        out = np.full(need, np.nan)
+        _rejection_sample(terms, rng, out)
+        assert not np.isnan(out).any()
+        # need component uniforms with two or more terms, then need normals,
+        # and no acceptance uniform after them
+        methods = [method for method, _ in rng.calls]
+        assert methods[-1] == "standard_normal" and methods.count("standard_normal") == 1
+        assert rng.calls[-1][1] == need
+        ahead = sum(size for _, size in rng.calls[:-1])
+        assert ahead == (0 if len(terms) == 1 else need)
+
     def test_stuck_coset_still_hits_the_retry_cap(self, x9):
         # a valid density of mass about 1e-6 under a positive part of mass 1
         s = 1.0 - 1e-7
@@ -587,37 +620,42 @@ class TestRejectionSample:
 
 
 def whole_round_reference(cont, rng, need):
-    """The rejection sampler with each round drawn whole: rng.choice for the
-    components (two or more positive terms), then standard_normal and
-    random, n_prop each.  Returns the draws and the number of rounds."""
-    w, sigmas, shifts = (np.array(col) for col in zip(*(row for row in cont if row[0] > 0.0)))
-    rate = sum(c for c, _, _ in cont) / (1.1 * w.sum())
+    """The sampler with each round drawn whole: rng.choice for the
+    components (two or more positive terms), then standard_normal, then,
+    on a coset with a negative term, random, n_prop each.  A coset with no
+    negative term takes one round of need proposals, all accepted.
+    Returns the draws and the number of rounds."""
+    w, scales, shifts = positive_parts(cont)
+    signed = any(c < 0.0 for c, _, _ in cont)
+    rate = acceptance_rate(cont)
     kept, got, rounds = [], 0, 0
     while got < need:
         left = need - got
         n_prop = math.ceil(min((left + 4.0 * math.sqrt(left) + 8.0) / rate, 1_000_000))
+        if not signed:
+            n_prop = need
         rounds += 1
         comp = rng.choice(len(w), size=n_prop, p=w / w.sum()) if len(w) > 1 else 0
-        t = rng.standard_normal(n_prop) * np.sqrt(2.0 * sigmas)[comp] + shifts[comp]
-        u = rng.random(n_prop)
-        dens = sum(c * _density(sigma, shift, t) for c, sigma, shift in cont)
-        env = sum(c * _density(sigma, shift, t) for c, sigma, shift in cont if c > 0.0)
-        accepted = t[u * 1.1 * env < dens][:left]
-        kept.append(accepted)
-        got += len(accepted)
+        t = rng.standard_normal(n_prop) * scales[comp] + shifts[comp]
+        if signed:
+            u = rng.random(n_prop)
+            dens = sum(c * _density(sigma, shift, t) for c, sigma, shift in cont)
+            env = sum(c * _density(sigma, shift, t) for c, sigma, shift in cont if c > 0.0)
+            t = t[u * env < dens][:left]
+        kept.append(t)
+        got += len(t)
     return np.concatenate(kept), rounds
 
 
 # cosets for the stream test: 1, 2 and 3 positive terms, one that accepts
-# about 0.15 of its proposals, so that a round capped at 10^6 proposals
-# leaves 3 * _BLOCK + 17 draws short, and two with no negative term, which
-# the sampler does not score
+# about 0.17 of its proposals, so that a round capped at 10^6 proposals
+# leaves 3 * _BLOCK + 17 draws short, and those with no negative term,
+# drawn directly
 STREAM_COSETS = {
     **SIGNED_COSETS,
     "three_positive": [(0.5, 1.0, -0.3), (0.3, 0.8, 0.2), (0.3, 1.0, 0.4), (-0.1, 0.3, 0.0)],
     "low_acceptance": [(1.0, 1.0, 0.0), (-0.835, 0.75, 0.0)],
-    "one_positive_unsigned": [(1.0, 0.7, 0.3)],
-    "two_positive_unsigned": [(0.6, 1.0, -0.5), (0.4, 0.3, 1.2)],
+    **UNSIGNED_COSETS,
 }
 
 
@@ -627,14 +665,7 @@ class TestBlockDrawnStream:
     where whole rounds leave it."""
 
     @pytest.mark.parametrize(
-        "name",
-        [
-            "one_positive",
-            "two_positive",
-            "three_positive",
-            "one_positive_unsigned",
-            "two_positive_unsigned",
-        ],
+        "name", ["one_positive", "two_positive", "three_positive", *sorted(UNSIGNED_COSETS)]
     )
     @pytest.mark.parametrize("need", [1, _BLOCK, 3 * _BLOCK + 17])
     def test_matches_whole_round_draws(self, x9, name, need):
@@ -660,7 +691,7 @@ class TestBlockDrawnStream:
         # a round of 2 * _BLOCK + 1 or + 2 proposals: its first two blocks
         # almost surely fill out, and its last uniforms are still drawn
         terms = TestRejectionSample().coset(x9, STREAM_COSETS["one_positive"])
-        rate = sum(c for c, _, _ in terms) / (1.1 * sum(c for c, _, _ in terms if c > 0.0))
+        rate = acceptance_rate(terms)
         need = next(
             k for k in range(1, 2 * _BLOCK)
             if math.ceil((k + 4.0 * math.sqrt(k) + 8.0) / rate) > 2 * _BLOCK
@@ -673,9 +704,27 @@ class TestBlockDrawnStream:
         assert rng.random() == twin.random()
 
 
+class TestDirectDraws:
+    """A coset with no negative term is drawn as its mixture: rng.choice of
+    the components, then standard_normal, scaled and shifted, bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(UNSIGNED_COSETS))
+    @pytest.mark.parametrize("need", [1, _BLOCK + 17])
+    def test_matches_choice_and_standard_normal(self, x9, name, need):
+        terms = TestRejectionSample().coset(x9, UNSIGNED_COSETS[name])
+        w, scales, shifts = positive_parts(terms)
+        rng, twin = np.random.default_rng(31), np.random.default_rng(31)
+        out = np.empty(need)
+        _rejection_sample(terms, rng, out)
+        comp = twin.choice(len(w), size=need, p=w / w.sum()) if len(w) > 1 else 0
+        expected = twin.standard_normal(need) * scales[comp] + shifts[comp]
+        assert out.tobytes() == expected.tobytes()
+        assert rng.random() == twin.random()
+
+
 class FixedRng:
     """Serves the given uniforms in order, over and over, to
-    random(out=...), and zeros to standard_normal(out=...)."""
+    random(out=...)."""
 
     def __init__(self, uniforms):
         self.uniforms = np.asarray(uniforms, dtype=float)
@@ -685,59 +734,16 @@ class FixedRng:
         out[:] = self.uniforms[(self.at + np.arange(len(out))) % len(self.uniforms)]
         self.at += len(out)
 
-    def standard_normal(self, out):
-        out.fill(0.0)
+
+def drawn_choices(p, rng, n):
+    """The n indices that _choices draws, gathered from its blocks."""
+    got = np.empty(n, dtype=np.int64)
+    for blk, idx in _choices(p, rng, n):
+        got[blk] = idx
+    return got
 
 
-def uniform_scaled_to(target):
-    """The largest float u < 1 with fl(u * 1.1) == target."""
-    u = np.nextafter(target / 1.1, 2.0)
-    while u * 1.1 > target:
-        u = np.nextafter(u, 0.0)
-    assert u * 1.1 == target and u < 1.0
-    return float(u)
-
-
-class TestUnscoredAcceptance:
-    """With no negative term the sampler accepts when fl(u * 1.1) < 1 in
-    place of fl(u * 1.1) * env < dens, dens == env; the two agree for every
-    env above the smallest normal float, 2^-1022."""
-
-    def test_the_two_tests_agree_on_edge_floats(self):
-        rng = np.random.default_rng(41)
-        below = uniform_scaled_to(1.0 - 2.0**-53)
-        at_one = uniform_scaled_to(1.0)
-        u = np.concatenate(([0.0, below, at_one, np.nextafter(at_one, 2.0)], rng.random(200)))
-        v = u * 1.1
-        assert (v[1], v[2]) == (1.0 - 2.0**-53, 1.0)
-        tiny = np.finfo(float).tiny  # 2^-1022
-        env = np.concatenate(
-            (
-                2.0 ** np.arange(-1021, 1024, dtype=float),
-                (1.0 + rng.random(2000)) * 2.0 ** rng.integers(-1022, 1023, 2000),
-                [np.nextafter(tiny, 1.0), np.finfo(float).max],
-            )
-        )
-        assert (env > tiny).all() and np.isfinite(env).all()
-        with np.errstate(over="ignore"):
-            scored = np.multiply.outer(v, env) < env
-        assert (scored == (v < 1.0)[:, None]).all()
-        # at 2^-1022 itself the product rounds in the subnormal range: the
-        # one normal env where scoring rejects what the unscored test takes
-        assert not (v[1] * tiny < tiny)
-
-    @pytest.mark.parametrize("target, accepted", [(1.0 - 2.0**-53, True), (1.0, False)])
-    def test_the_sampler_accepts_below_one_only(self, x9, target, accepted):
-        # every proposal sits at the mode, every uniform scales to target
-        terms = TestRejectionSample().coset(x9, [(1.0, 0.5, 0.25)])
-        out = np.full(3, np.nan)
-        rng = FixedRng([uniform_scaled_to(target)])
-        if accepted:
-            _rejection_sample(terms, rng, out)
-            assert out.tolist() == [0.25] * 3
-        else:
-            with pytest.raises(RuntimeError, match="retry cap"):
-                _rejection_sample(terms, rng, out)
+CHOICE_SIZES = [1, 2, 3, 4, 5, 63, 64, 65, 255, 256, 257, 300, 4096]
 
 
 class TestChoices:
@@ -746,24 +752,41 @@ class TestChoices:
     @pytest.mark.parametrize(
         "p",
         [
-            [1.0],
-            np.random.default_rng(2).random(2),
+            *(np.random.default_rng(k).random(k) for k in CHOICE_SIZES),
             # zero-weight plateaus, leading and trailing
             [0.0, 0.25, 0.0, 0.0, 0.5, 0.0, 0.25, 0.0],
-            np.random.default_rng(3).random(300),
         ],
-        ids=["1", "2", "plateaus", "300"],
+        ids=[*map(str, CHOICE_SIZES), "plateaus"],
     )
     def test_reads_the_stream_of_choice(self, p):
         p = np.asarray(p, dtype=float)
         p /= p.sum()
         rng, twin = np.random.default_rng(5), np.random.default_rng(5)
         n = _BLOCK + 17
-        got = np.empty(n, dtype=np.int64)
-        for blk, idx in _choices(p, rng, n, np.empty(_BLOCK)):
-            got[blk] = idx
+        got = drawn_choices(p, rng, n)
         assert got.tolist() == twin.choice(len(p), size=n, p=p).tolist()
         assert rng.random() == twin.random()
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            [0.0, 0.25, 0.0, 0.0, 0.5, 0.0, 0.25, 0.0],
+            *(np.random.default_rng(k).random(k) for k in (3, 64, 65, 257)),
+        ],
+        ids=["plateaus", "3", "64", "65", "257"],
+    )
+    def test_a_uniform_at_a_cdf_entry_picks_the_next_index(self, p):
+        # u equal to each cdf entry and its neighbours: "right" semantics,
+        # so u == cdf[i] picks the first index past every entry equal to it
+        p = np.asarray(p, dtype=float)
+        p /= p.sum()
+        cdf = p.cumsum()
+        cdf /= cdf[-1]
+        at = cdf[cdf < 1.0]
+        u = np.concatenate(([0.0], at, np.nextafter(at, 0.0), np.nextafter(at, 1.0)))
+        u = u[u < 1.0]
+        got = drawn_choices(p, FixedRng(u), len(u))
+        assert got.tolist() == cdf.searchsorted(u, "right").tolist()
 
 
 class TestSupportAndModulus:
