@@ -95,6 +95,11 @@ class FiniteAbelianGroup:
         for coords in product(*(range(n) for n in self.cyclic_orders)):
             yield GroupElement(self, coords)
 
+    def elements_at(self, coords: np.ndarray) -> list["GroupElement"]:
+        """The elements at the rows of an (N, rank) array of residue
+        vectors that are reduced already, with no per-element reduction."""
+        return [GroupElement(self, c) for c in map(tuple, coords.tolist())]
+
     def characters(self) -> Iterator["DualCharacter"]:
         for coords in product(*(range(n) for n in self.cyclic_orders)):
             yield DualCharacter(self, coords)
@@ -324,9 +329,21 @@ def scalar_automorphism(group: FiniteAbelianGroup, k: int) -> GroupAutomorphism:
     )
 
 
+def in_kernel_of_I_plus(alpha: GroupAutomorphism, coords) -> np.ndarray:
+    """Mask of the rows x of an (N, rank) integer array, reduced or not,
+    with x + alpha(x) = 0 mod the orders."""
+    x = np.asarray(coords, dtype=np.int64).reshape(-1, alpha.group.rank)
+    sums = (x + x @ np.array(alpha.matrix, dtype=np.int64).T) % alpha.group.cyclic_orders
+    return ~sums.any(axis=1)
+
+
+def kernel_coords(alpha: GroupAutomorphism) -> np.ndarray:
+    """Ker(I + alpha) as an (order of the kernel, rank) array of reduced
+    residue vectors, in enumeration order."""
+    coords = alpha.group.all_coords()
+    return coords[in_kernel_of_I_plus(alpha, coords)]
+
+
 def kernel_of_I_plus(alpha: GroupAutomorphism) -> list[GroupElement]:
     """Elements g with g + alpha(g) = 0, in enumeration order."""
-    G = alpha.group
-    coords = G.all_coords()
-    sums = (coords + coords @ np.array(alpha.matrix, dtype=np.int64).T) % G.cyclic_orders
-    return [G.element(c) for c in coords[~sums.any(axis=1)]]
+    return alpha.group.elements_at(kernel_coords(alpha))

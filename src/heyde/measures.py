@@ -102,10 +102,7 @@ class AtomicSignedMeasure:
 
         def rows():
             for c, sigma, shift, m, g in terms:
-                gg = g if isinstance(g, GroupElement) else G.element(g)
-                if gg.group != G:
-                    raise ValueError("finite coordinate belongs to a different group")
-                yield float(c), float(sigma), float(shift), int(m) % 2, gg.coords
+                yield float(c), float(sigma), float(shift), int(m) % 2, _coords(G, g)
 
         return _canonical(group, rows())
 
@@ -169,8 +166,29 @@ class AtomicSignedMeasure:
         return sum(self.c.tolist())
 
     def shifted(self, x: XPoint) -> "AtomicSignedMeasure":
-        """Convolution with the point mass at x."""
-        return convolve(self, dirac(x))
+        """Convolution with the point mass at x, the same bytes as
+        convolve(self, dirac(x)).
+
+        With x.t == 0 the translation moves only (m, g), so it maps
+        canonical keys one to one and no term merges or drops: the columns
+        take convolve's float ops (c * 1.0 is c; sigma + 0.0 and shift + t
+        turn -0.0 into 0.0 as it does), m and g are translated, and one
+        lexsort restores the key order.  Any other t goes through convolve,
+        since rounding in shift + t can merge keys.
+        """
+        t = float(x.t)
+        if t != 0.0:
+            return convolve(self, dirac(x))
+        G = self.group.G
+        coords = _coords(x.group.G, x.g)
+        if x.group != self.group:
+            raise ValueError("measures live on different groups")
+        sigma = self.sigma + 0.0
+        shift = self.shift + t
+        m = (self.m + int(x.m) % 2) % 2
+        g = (self.g + np.array(coords, dtype=np.int64)) % np.array(G.cyclic_orders)
+        order = np.lexsort((*g.T[::-1], m, shift, sigma))
+        return _frozen(self.group, self.c[order], sigma[order], shift[order], m[order], g[order])
 
     @property
     def is_finite_supported(self) -> bool:
@@ -217,16 +235,29 @@ def _canonical(group: AmbientGroup, rows) -> AtomicSignedMeasure:
         merged[key] = merged.get(key, 0.0) + c
     kept = sorted(item for item in merged.items() if abs(item[1]) > DROP_TOL)
     keys = [key for key, _ in kept]
-    columns = (
+    return _frozen(
+        group,
         np.array([c for _, c in kept], dtype=float),
         np.array([key[0] for key in keys], dtype=float),
         np.array([key[1] for key in keys], dtype=float),
         np.array([key[2] for key in keys], dtype=np.int64),
         np.array([key[3] for key in keys], dtype=np.int64).reshape(len(keys), group.G.rank),
     )
+
+
+def _frozen(group: AmbientGroup, *columns: np.ndarray) -> AtomicSignedMeasure:
+    """The measure of canonical columns, made read-only."""
     for column in columns:
         column.flags.writeable = False
     return AtomicSignedMeasure(group, *columns)
+
+
+def _coords(G, g) -> tuple[int, ...]:
+    """Reduced coordinates of g, a GroupElement of G or a coordinate sequence."""
+    gg = g if isinstance(g, GroupElement) else G.element(g)
+    if gg.group != G:
+        raise ValueError("finite coordinate belongs to a different group")
+    return gg.coords
 
 
 def dirac(x: XPoint) -> AtomicSignedMeasure:

@@ -19,7 +19,13 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .ambient import AmbientGroup, XAutomorphism, XPoint
-from .finite_abelian import GroupAutomorphism, GroupElement, kernel_of_I_plus
+from .finite_abelian import (
+    GroupAutomorphism,
+    GroupElement,
+    in_kernel_of_I_plus,
+    kernel_coords,
+    kernel_of_I_plus,
+)
 from .measures import (
     NONNEG_TOL,
     AtomicSignedMeasure,
@@ -223,16 +229,20 @@ def generate_instance(spec: InstanceSpec) -> GeneratedInstance:
     if spec.omega2.group != group:
         failures.append("omega2 lives on a different ambient group")
     else:
-        kset = {k.coords for k in kernel}
         w = spec.omega2
-        rows = zip(w.sigma.tolist(), w.shift.tolist(), map(tuple, w.g.tolist()))
-        for sigma, shift, coords in rows:
-            if sigma != 0.0 or shift != 0.0:
-                failures.append("omega2 must be supported on the finite part")
-                break
-            if coords not in kset:
-                failures.append(f"omega2 atom at g={coords} is outside K = Ker(I + alpha_G)")
-                break
+        # the first atom off the finite part or outside K is reported; with
+        # alpha_G on another group every atom is outside K
+        finite = (w.sigma == 0.0) & (w.shift == 0.0)
+        if spec.alpha_G.group == group.G:
+            in_k = in_kernel_of_I_plus(spec.alpha_G, w.g)
+        else:
+            in_k = np.zeros(len(w.c), dtype=bool)
+        bad = np.flatnonzero(~(finite & in_k))
+        if len(bad) and not finite[bad[0]]:
+            failures.append("omega2 must be supported on the finite part")
+        elif len(bad):
+            coords = tuple(w.g[bad[0]].tolist())
+            failures.append(f"omega2 atom at g={coords} is outside K = Ker(I + alpha_G)")
         if abs(w.total_mass() - 1.0) > MASS_TOL:
             failures.append("omega2 total mass is not 1")
         elif len(w.c) and is_distribution(w).is_no:
@@ -322,18 +332,20 @@ def _sums(keys, c: np.ndarray) -> dict:
 
 
 def _coset_representative(
-    mu: AtomicSignedMeasure, kernel: Sequence[GroupElement], label: str
+    mu: AtomicSignedMeasure, alpha_G: GroupAutomorphism, kernel: np.ndarray, label: str
 ) -> GroupElement:
-    """All finite coordinates must fall in one K-coset; return its lex-min."""
+    """All finite coordinates must fall in one coset of K = Ker(I +
+    alpha_G), the rows of kernel; return its lex-min.
+
+    Row-major index order is lexicographic order, so the lex-min is the
+    point of g[0] + K with the least index."""
     if not len(mu.c):
         raise DecompositionError(f"{label} has no atoms")
-    kset = {k.coords for k in kernel}
-    G = mu.group.G
-    offsets = (mu.g - mu.g[0]) % np.array(G.cyclic_orders)
-    if any(coords not in kset for coords in map(tuple, offsets.tolist())):
+    if not in_kernel_of_I_plus(alpha_G, mu.g - mu.g[0]).all():
         raise DecompositionError(f"{label} support spans more than one coset of K")
-    base = G.element(mu.g[0])
-    return min((base + k for k in kernel), key=lambda g: g.coords)
+    G = mu.group.G
+    coset = (mu.g[0] + kernel) % np.array(G.cyclic_orders)
+    return G.element(coset[np.argmin(G.index_of(coset))])
 
 
 def _factor(
@@ -455,8 +467,11 @@ def decompose(
             f"equation residual {report.residual:.3e} exceeds tolerance {tol:.1e}; "
             "the symmetry hypothesis fails"
         )
-    kernel = tuple(kernel_of_I_plus(alpha.alpha_G))
-    reps = [_coset_representative(mu, kernel, label) for mu, label in ((mu1, "mu1"), (mu2, "mu2"))]
+    K = kernel_coords(alpha.alpha_G)
+    reps = [
+        _coset_representative(mu, alpha.alpha_G, K, label)
+        for mu, label in ((mu1, "mu1"), (mu2, "mu2"))
+    ]
     reduced = [mu.shifted(XPoint(group, 0.0, 0, -rep)) for mu, rep in zip((mu1, mu2), reps)]
 
     flags: list[str] = []
@@ -516,7 +531,7 @@ def decompose(
         vartheta_direction=direction,
         vartheta_d=rel.d,
         vartheta=rel.delta,
-        kernel=kernel,
+        kernel=tuple(G.elements_at(K)),
         kappa_raw=kappa_raw,
         rho=rho,
         residual=report.residual,

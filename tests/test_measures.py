@@ -258,6 +258,74 @@ class TestConvolution:
         assert measures_close(mu.shifted(x), convolve(mu, dirac(x)), tol=1e-15)
 
 
+def column_bytes(mu):
+    return [col.tobytes() for col in (mu.c, mu.sigma, mu.shift, mu.m, mu.g)]
+
+
+class TestShifted:
+    """shifted gives the bytes of convolve(mu, dirac(x)): a translation with
+    t = 0 by its own column path, any other through convolve."""
+
+    @pytest.mark.parametrize("orders", [(3,), (9,), (3, 5), (15, 15)])
+    def test_finite_shift_bytes_match_convolution(self, orders):
+        X = AmbientGroup(FiniteAbelianGroup(orders))
+        rng = np.random.default_rng(sum(orders))
+        for _ in range(10):
+            mu = random_measure(X, rng, n_terms=int(rng.integers(1, 9)), signed=True)
+            # -0.0 keys: a row at shift -0.0 and one at sigma -0.0; and
+            # rows on one real atom, which the translation reorders
+            g0 = tuple(int(v) for v in rng.integers(0, orders))
+            rows = [(t.c, t.atom.sigma, t.atom.shift, t.m, t.g) for t in mu.terms]
+            rows += [
+                (0.1 * k, 0.0, 0.0, k % 2, tuple(int(v) for v in rng.integers(0, orders)))
+                for k in range(1, 6)
+            ]
+            mu = AtomicSignedMeasure.from_terms(
+                X, [(0.3, 0.5, -0.0, 1, g0), (-0.2, -0.0, 0.25, 0, g0)] + rows
+            )
+            assert np.signbit(mu.shift).any() and np.signbit(mu.sigma).any()
+            for m in (0, 1):
+                g = tuple(int(v) for v in rng.integers(0, orders))
+                for t in (0.0, -0.0):
+                    x = X.point(t, m, g)
+                    out = mu.shifted(x)
+                    assert column_bytes(out) == column_bytes(convolve(mu, dirac(x)))
+                    cols = (out.c, out.sigma, out.shift, out.m, out.g)
+                    assert not any(col.flags.writeable for col in cols)
+
+    def test_negative_zero_keys_turn_positive_as_in_convolution(self, x9):
+        mu = AtomicSignedMeasure.from_terms(x9, [(1.0, -0.0, -0.0, 0, (4,))])
+        out = mu.shifted(x9.point(0.0, 1, (7,)))
+        assert math.copysign(1.0, out.sigma[0]) == math.copysign(1.0, out.shift[0]) == 1.0
+        assert out.m.tolist() == [1] and out.g.tolist() == [[2]]
+        assert column_bytes(out) == column_bytes(convolve(mu, dirac(x9.point(0.0, 1, (7,)))))
+
+    def test_empty_measure(self):
+        X = AmbientGroup(FiniteAbelianGroup((3, 5)))
+        mu = AtomicSignedMeasure.from_terms(X, [])
+        x = X.point(0.0, 1, (1, 2))
+        out = mu.shifted(x)
+        assert out.g.shape == (0, 2)
+        assert column_bytes(out) == column_bytes(convolve(mu, dirac(x)))
+
+    def test_real_translation_merges_like_convolution(self, x9):
+        # shift + t rounds 1e-17 and 0.0 to one key: two rows merge
+        mu = AtomicSignedMeasure.from_terms(
+            x9, [(0.25, 0.0, 1e-17, 0, (1,)), (0.75, 0.0, 0.0, 0, (1,))]
+        )
+        x = x9.point(1.0, 1, (3,))
+        out = mu.shifted(x)
+        assert len(mu.c) == 2 and len(out.c) == 1
+        assert column_bytes(out) == column_bytes(convolve(mu, dirac(x)))
+
+    def test_group_mismatch_raises(self, x9):
+        mu = AtomicSignedMeasure.from_terms(x9, [(1.0, 0.0, 0.0, 0, (1,))])
+        other = AmbientGroup(FiniteAbelianGroup((3,)))
+        for t in (0.0, 0.5):
+            with pytest.raises(ValueError, match="different groups"):
+                mu.shifted(other.point(t, 0, (1,)))
+
+
 class TestDensity:
     def test_standard_peak_value(self, x9):
         mu = AtomicSignedMeasure.from_terms(x9, [(1.0, 1.0, 0.0, 0, (0,))])

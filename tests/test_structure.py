@@ -39,11 +39,13 @@ from heyde import (
     theta_to_measure,
     two_term_bound,
 )
+from heyde.finite_abelian import GroupAutomorphism, kernel_coords, kernel_of_I_plus
 from heyde.structure import (
     BRANCH_GENERIC,
     BRANCH_MINUS_ONE,
     OMEGA1_FROM_OMEGA2,
     OMEGA2_FROM_OMEGA1,
+    _coset_representative,
 )
 from conftest import (
     distribution_oracle,
@@ -207,6 +209,117 @@ class TestGenerateInstance:
         )
         with pytest.raises(InfeasibleSpec):
             generate_instance(spec)
+
+    @pytest.mark.parametrize(
+        "rows, on_G, message",
+        [
+            # the first atom in canonical order decides: the point mass at
+            # g = (1,) sorts before the Gaussian
+            (
+                [(0.5, 0.0, 0.0, 0, (1,)), (0.5, 1.0, 0.0, 0, (0,))],
+                True,
+                "omega2 atom at g=(1,) is outside K = Ker(I + alpha_G)",
+            ),
+            (
+                [(0.5, 0.0, -1.0, 0, (0,)), (0.5, 0.0, 0.0, 0, (1,))],
+                True,
+                "omega2 must be supported on the finite part",
+            ),
+            # alpha_G on another group: every atom is outside K
+            (
+                [(1.0, 0.0, 0.0, 0, (3,))],
+                False,
+                "omega2 atom at g=(3,) is outside K = Ker(I + alpha_G)",
+            ),
+        ],
+    )
+    def test_omega2_support_messages(self, rows, on_G, message):
+        G = FiniteAbelianGroup((9,))
+        X = AmbientGroup(G)
+        al = scalar_automorphism(G if on_G else FiniteAbelianGroup((3,)), 2)
+        spec = InstanceSpec(
+            group=X,
+            a=-2.0,
+            alpha_G=al,
+            theta2=ThetaParams(1.0, 0.5, 0.0, 0.0, 0.3),
+            omega2=AtomicSignedMeasure.from_terms(X, rows),
+        )
+        with pytest.raises(InfeasibleSpec) as exc:
+            generate_instance(spec)
+        support = [f for f in exc.value.failures if f.startswith("omega2 atom") or "finite" in f]
+        assert support == [message]
+
+
+def random_automorphisms(orders, rng, diagonal, draws=60):
+    """The distinct automorphisms of Z(orders) among draws random integer
+    matrices, kept when they are well defined and bijective; a diagonal
+    one takes -1 on its first factor, so that K is never trivial."""
+    G = FiniteAbelianGroup(orders)
+    r = len(orders)
+    found = {}
+    for _ in range(draws):
+        mat = rng.integers(0, max(orders), size=(r, r))
+        if diagonal:
+            mat = np.diag(np.diag(mat))
+            mat[0, 0] = -1
+        try:
+            al = GroupAutomorphism(G, tuple(map(tuple, mat.tolist())))
+        except ValueError:
+            continue
+        found[al.matrix] = al
+    return list(found.values())
+
+
+class TestCosetRepresentative:
+    """_coset_representative against the enumerating reference: the
+    lex-min over base + k, k in kernel_of_I_plus."""
+
+    @pytest.mark.parametrize("orders", [(3, 3), (9, 3), (15, 15)])
+    @pytest.mark.parametrize("diagonal", [True, False])
+    def test_matches_enumerating_reference(self, orders, diagonal):
+        rng = np.random.default_rng(hash((orders, diagonal)) % 2**32)
+        G = FiniteAbelianGroup(orders)
+        X = AmbientGroup(G)
+        automorphisms = random_automorphisms(orders, rng, diagonal)
+        assert len(automorphisms) >= 2
+        sizes = set()
+        for al in automorphisms[:8]:
+            kernel = kernel_of_I_plus(al)
+            sizes.add(len(kernel))
+            for _ in range(4):
+                base = G.element(rng.integers(0, orders))
+                picks = rng.choice(len(kernel), size=min(3, len(kernel)), replace=False)
+                mu = AtomicSignedMeasure.from_terms(
+                    X,
+                    [(1.0 / len(picks), 0.0, 0.0, int(rng.integers(2)), base + kernel[k])
+                     for k in picks],
+                )
+                expected = min((base + k for k in kernel), key=lambda g: g.coords)
+                assert _coset_representative(mu, al, kernel_coords(al), "mu") == expected
+        # the draws reach a K between {0} and G, and with a diagonal -1 a
+        # K larger than {0}
+        assert any(1 < n < G.order for n in sizes) or diagonal and min(sizes) > 1
+
+    def test_support_on_two_cosets_refused(self):
+        G = FiniteAbelianGroup((9, 3))
+        X = AmbientGroup(G)
+        al = GroupAutomorphism(G, ((2, 0), (0, 1)))  # K = {0, 3, 6} x {0}
+        assert [k.coords for k in kernel_of_I_plus(al)] == [(0, 0), (3, 0), (6, 0)]
+        one_coset = [(0.5, 0.0, 0.0, 0, (1, 2)), (0.5, 0.3, 0.1, 1, (4, 2))]
+        mu = AtomicSignedMeasure.from_terms(X, one_coset)
+        assert _coset_representative(mu, al, kernel_coords(al), "mu1").coords == (1, 2)
+        two_cosets = AtomicSignedMeasure.from_terms(
+            X, [(0.5, 0.0, 0.0, 0, (1, 2)), (0.5, 0.0, 0.0, 0, (2, 2))]
+        )
+        with pytest.raises(DecompositionError, match="mu1 support spans more than one coset"):
+            _coset_representative(two_cosets, al, kernel_coords(al), "mu1")
+
+    def test_no_atoms_refused(self):
+        X = AmbientGroup(FiniteAbelianGroup((3,)))
+        al = negation_automorphism(X.G)
+        empty = AtomicSignedMeasure.from_terms(X, [])
+        with pytest.raises(DecompositionError, match="mu2 has no atoms"):
+            _coset_representative(empty, al, kernel_coords(al), "mu2")
 
 
 DECOMPOSE_CASES = [
