@@ -13,7 +13,7 @@ nondegenerate application (rigidity).
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -89,18 +89,23 @@ class DecompositionError(ValueError):
         super().__init__("; ".join(diagnostics))
 
 
+def _profile(p: ThetaParams) -> tuple[float, float, float, float]:
+    """(sigma, sigma', m, m'), the fields the cross constraints relate."""
+    return p.sigma, p.sigma_p, p.m, p.m_p
+
+
 def cross_constraint_residuals(
     theta1: ThetaParams, theta2: ThetaParams, a: float
 ) -> tuple[float, float, float, float]:
     """Residuals of sigma1 + a*sigma2, sigma'1 + a*sigma'2, and the shifts."""
-    return tuple(abs(x1 + a * x2) for x1, x2 in zip(astuple(theta1)[:4], astuple(theta2)[:4]))
+    return tuple(abs(x1 + a * x2) for x1, x2 in zip(_profile(theta1), _profile(theta2)))
 
 
 def check_cross_constraints(
     theta1: ThetaParams, theta2: ThetaParams, a: float, tol: float = 1e-10
 ) -> bool:
     """Each |x1 + a*x2| is at most tol * max(1, |x1| + |a|*|x2|), the gate's real-key rule."""
-    pairs = zip(astuple(theta1)[:4], astuple(theta2)[:4])
+    pairs = zip(_profile(theta1), _profile(theta2))
     return all(abs(x1 + a * x2) <= tol * max(1.0, abs(x1) + abs(a) * abs(x2)) for x1, x2 in pairs)
 
 

@@ -72,6 +72,9 @@ __all__ = [
 
 KEY_TOL = 1e-9
 
+# the reflection (L1, L2) -> (L1, -L2) on the rows of the real keys
+_REFLECTED = np.array([[1.0], [-1.0], [1.0], [1.0], [-1.0]])
+
 
 def _gaussian_sigmas(*measures: AtomicSignedMeasure) -> list[float]:
     return [s for mu in measures for s in mu.sigma.tolist() if s > 0.0]
@@ -121,38 +124,54 @@ def _cluster_labels(x: np.ndarray, size: np.ndarray) -> np.ndarray:
     cluster while their gap is at most KEY_TOL * max(1, size) of either.
     size bounds the operands a key was summed from (|x| <= size), so a
     key that cancels to near 0 keeps the rounding error of its operands
-    inside the tolerance."""
+    inside the tolerance.  x of shape (k, n) is clustered row by row."""
     order = np.argsort(x, kind="stable")
-    v = x[order]
-    w = size[order]
-    scale = np.maximum(1.0, np.maximum(w[:-1], w[1:]))
-    labels = np.empty(len(x), dtype=np.int64)
-    labels[order] = np.concatenate(([0], np.cumsum(np.diff(v) > KEY_TOL * scale)))
+    if x.ndim > 1:
+        order += np.arange(len(x))[:, None] * x.shape[1]  # flat indices
+    v = np.take(x, order)
+    w = np.take(size, order)
+    scale = np.maximum(w[..., :-1], w[..., 1:])
+    np.maximum(scale, 1.0, out=scale)
+    split = v[..., 1:] - v[..., :-1] > KEY_TOL * scale
+    ranks = np.zeros(x.shape, dtype=np.int64)
+    np.add.accumulate(split, axis=-1, dtype=np.int64, out=ranks[..., 1:])
+    labels = np.empty(x.shape, dtype=np.int64)
+    np.put(labels, order, ranks)
     return labels
 
 
-def _sum_by_key(real, size, finite, coef) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per key, its row (the cluster labels of the real columns, then
-    finite), its first row of real and finite, and the sums of coef over
-    its rows; a key is a row of real (columns clustered with operand sizes
-    size) and of finite."""
-    labels = np.column_stack([_cluster_labels(x, w) for x, w in zip(real.T, size.T)])
-    rows = np.hstack([labels, finite])
-    # rows in lexicographic order; the sort is stable, so each key's first
-    # row comes first
-    order = np.lexsort(rows.T[::-1])
-    ordered = rows[order]
-    new = np.ones(len(rows), dtype=bool)
-    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    inverse = np.empty(len(rows), dtype=np.intp)
-    inverse[order] = np.cumsum(new) - 1
-    sums = np.zeros((int(new.sum()),) + coef.shape[1:])
-    np.add.at(sums, inverse, coef)
-    return ordered[new], order[new], sums
+def _group(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Group the columns of keys, int64 rows of shape (k, n), by one
+    stable lexicographic sort.  Returns the sort order, which places of
+    the sorted order start a group, and the group of each column, groups
+    numbered in key order."""
+    order = np.lexsort(keys[::-1])
+    ordered = keys[:, order]
+    new = np.empty(len(order), dtype=bool)
+    new[:1] = True
+    np.logical_or.reduce(ordered[:, 1:] != ordered[:, :-1], axis=0, out=new[1:])
+    ranks = np.add.accumulate(new, dtype=np.intp)
+    ranks -= 1
+    inverse = np.empty_like(ranks)
+    inverse[order] = ranks
+    return order, new, inverse
+
+
+def _sum_by_key(keys: np.ndarray, coef: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per distinct key, in key order: the key (one row), the index of its
+    first column in keys, and the sums of each row of coef (shape (c, n))
+    over its columns.  keys are int64 of shape (k, n); each sum adds in
+    column order from 0.0, as np.add.at does."""
+    order, new, inverse = _group(keys)
+    first = order[new]
+    sums = np.empty((len(first), len(coef)))
+    for col, w in enumerate(coef):
+        sums[:, col] = np.bincount(inverse, w, len(first))
+    return keys[:, first].T, first, sums
 
 
 def _real_keys(s1, s2, t1, t2, a: float) -> np.ndarray:
-    """Real key of each term pair (i, j), one row per pair; columns var L1,
+    """Real key of each atom pair (i, j), one column per pair; rows var L1,
     cov(L1, L2), var L2, mean L1, mean L2."""
     return np.stack(
         [
@@ -161,9 +180,18 @@ def _real_keys(s1, s2, t1, t2, a: float) -> np.ndarray:
             np.add.outer(s1, a * a * s2),
             np.add.outer(t1, t2),
             np.add.outer(t1, a * t2),
-        ],
-        axis=-1,
-    ).reshape(-1, 5)
+        ]
+    ).reshape(5, -1)
+
+
+def _atoms(mu: AtomicSignedMeasure) -> tuple[np.ndarray, np.ndarray]:
+    """Each term's real atom (sigma, shift), atoms numbered by runs of
+    equal consecutive values (canonical terms are sorted, so one run per
+    atom), and the first term of each atom."""
+    new = np.ones(len(mu.c), dtype=bool)
+    np.not_equal(mu.sigma[1:], mu.sigma[:-1], out=new[1:])
+    new[1:] |= mu.shift[1:] != mu.shift[:-1]
+    return np.cumsum(new) - 1, np.flatnonzero(new)
 
 
 def joint_law_report(
@@ -179,10 +207,20 @@ def joint_law_report(
     g_i + alpha_G g_j), and -c_i c_j on its reflection, which negates
     s_i + a s_j, t_i + a t_j and g_i + alpha_G g_j.  The residual bounds
     the identity's deviation over the whole dual and is 0 exactly when
-    the identity holds (up to the KEY_TOL clustering of real keys).  Cost
-    O(U1 U2 log(U1 U2)) for atom counts U1, U2, independent of |G|.  A key
-    or coefficient beyond float range leaves the residual undefined and
-    raises ValueError.
+    the identity holds (up to the KEY_TOL clustering of real keys).
+
+    The real key of a term pair is that of its pair of real atoms (sigma,
+    shift), so the real columns are clustered over the 2 R1 R2 atom pairs
+    (and reflections), R_j the atom count of mu_j, and each distinct row
+    of cluster labels is ranked.  Atoms are numbered in order of first
+    term and pairs enumerated like the term pairs, so each value's first
+    and last atom pair are those of its first and last term pair: the
+    clusters are those of the term pairs.  Each term pair then has one
+    int64 key, rank * 2|G|^2 + the row-major index of its finite point,
+    whose order is the lexicographic order of (labels, finite point), and
+    one stable sort groups them.  Cost O(U1 U2 log(U1 U2)) for term counts
+    U1, U2, independent of |G|.  A key or coefficient beyond float range
+    leaves the residual undefined and raises ValueError.
     """
     if mu1.group != mu2.group or alpha.group != mu1.group:
         raise ValueError("measures and automorphism must share one group")
@@ -190,25 +228,32 @@ def joint_law_report(
         return JointLawReport(0.0, None)
     G = mu1.group.G
     orders = np.array(G.cyclic_orders, dtype=np.int64)
+    strides = np.array([math.prod(G.cyclic_orders[k + 1 :]) for k in range(G.rank)])
     a = alpha.a
-    c1, s1, t1, m1, g1 = mu1.c, mu1.sigma, mu1.shift, mu1.m, mu1.g
-    c2, s2, t2, m2, g2 = mu2.c, mu2.sigma, mu2.shift, mu2.m, mu2.g
-    g2a = g2 @ np.array(alpha.alpha_G.matrix, dtype=np.int64).T
-    n = np.add.outer(m1, m2).reshape(-1, 1) % 2
-    f1 = ((g1[:, None, :] + g2[None, :, :]) % orders).reshape(-1, G.rank)
-    f2 = ((g1[:, None, :] + g2a[None, :, :]) % orders).reshape(-1, G.rank)
-    finite = np.concatenate([np.hstack([n, f1, f2]), np.hstack([n, f1, -f2 % orders])])
+    # row-major index of each term pair's finite point (n, f1, f2), and of
+    # its reflection's (n, f1, -f2)
+    f2 = (mu1.g[:, None] + mu2.g @ np.array(alpha.alpha_G.matrix, dtype=np.int64).T) % orders
+    finite = np.add.outer(mu1.m, mu2.m) % 2 * G.order
+    finite += ((mu1.g[:, None] + mu2.g) % orders) @ strides
+    finite *= G.order
+    finite = np.stack([finite + f2 @ strides, finite + (-f2 % orders) @ strides])
+    (atom1, first1), (atom2, first2) = _atoms(mu1), _atoms(mu2)
+    s1, t1, s2, t2 = mu1.sigma[first1], mu1.shift[first1], mu2.sigma[first2], mu2.shift[first2]
     # an overflowing input turns into inf or NaN here and is refused below
     with np.errstate(over="ignore", invalid="ignore"):
         real = _real_keys(s1, s2, t1, t2, a)
-        real = np.concatenate([real, real * np.array([1.0, -1.0, 1.0, 1.0, -1.0])])
+        real = np.concatenate([real, real * _REFLECTED], axis=1)
         # operand size of each key: the same sums over absolute values
         size = _real_keys(np.abs(s1), np.abs(s2), np.abs(t1), np.abs(t2), abs(a))
-        size = np.concatenate([size, size])
-        coef = np.multiply.outer(c1, c2).ravel()
-        coef = np.concatenate([coef, -coef])
-        spread = real.max(axis=0) - real.min(axis=0)
-        _, first, sums = _sum_by_key(real, size, finite, coef)
+        size = np.concatenate([size, size], axis=1)
+        spread = real.max(axis=1) - real.min(axis=1)
+        rank = _group(_cluster_labels(real, size))[2].reshape(2, len(s1), len(s2))
+        # keys stay below 2 R1 R2 * 2|G|^2 with |G| <= MAX_ENUMERABLE_ORDER:
+        # within int64 for any pair count that fits in memory
+        keys = rank[:, atom1[:, None], atom2] * (2 * G.order**2) + finite
+        coef = np.multiply.outer(mu1.c, mu2.c).ravel()
+        _, first, sums = _sum_by_key(keys.reshape(1, -1), np.concatenate([coef, -coef])[None])
+        sums = sums[:, 0]
         residual = float(np.abs(sums).sum())
     if not np.isfinite(spread).all():
         residual = math.nan  # keys beyond float range cannot be compared
@@ -217,12 +262,15 @@ def joint_law_report(
     k = int(np.argmax(np.abs(sums)))
     if sums[k] == 0.0:
         return JointLawReport(residual, None)
-    row = first[k]
+    # the worst key's first term pair, its point and mean as the keys have them
+    reflected, pair = divmod(int(first[k]), len(mu1.c) * len(mu2.c))
+    i, j = divmod(pair, len(mu2.c))
+    mean2 = mu1.shift[i] + a * mu2.shift[j]
     worst = JointKey(
-        int(finite[row, 0]),
-        tuple(int(v) for v in finite[row, 1 : 1 + G.rank]),
-        tuple(int(v) for v in finite[row, 1 + G.rank :]),
-        (float(real[row, 3]), float(real[row, 4])),
+        int((mu1.m[i] + mu2.m[j]) % 2),
+        tuple(((mu1.g[i] + mu2.g[j]) % orders).tolist()),
+        tuple((-f2[i, j] % orders if reflected else f2[i, j]).tolist()),
+        (float(mu1.shift[i] + mu2.shift[j]), float(mean2 * -1.0 if reflected else mean2)),
         float(sums[k]),
     )
     return JointLawReport(residual, worst)
@@ -686,18 +734,24 @@ def _parity_sums(*taus: AtomicSignedMeasure, dk: GroupElement | None = None):
     coefficient plus (even) or minus (odd) the m = 1 one, taus[0] moved by
     dk in G.  On dual parity 0 (1) a tau's characteristic function is its
     even (odd) sums times factors of modulus at most 1."""
-    c, s, t, m, g = (
-        np.concatenate(column)
-        for column in zip(*((tau.c, tau.sigma, tau.shift, tau.m, tau.g) for tau in taus))
-    )
+    n = sum(len(tau.c) for tau in taus)
+    real = np.empty((2, n))
+    keys = np.empty((2 + taus[0].group.G.rank, n), dtype=np.int64)
+    coef = np.zeros((2 * len(taus), n))
+    stop = 0
+    for j, tau in enumerate(taus):
+        start, stop = stop, stop + len(tau.c)
+        real[0, start:stop] = tau.sigma
+        real[1, start:stop] = tau.shift
+        keys[2:, start:stop] = tau.g.T
+        coef[2 * j, start:stop] = tau.c
+        coef[2 * j + 1, start:stop] = np.where(tau.m == 0, tau.c, -tau.c)
     if dk is not None:
         n0 = len(taus[0].c)
-        g[:n0] = (g[:n0] + dk.coords) % np.array(taus[0].group.G.cyclic_orders)
-    owner = np.repeat(np.eye(len(taus)), [len(tau.c) for tau in taus], axis=0)
-    parity = np.column_stack([c, np.where(m == 0, c, -c)])
-    coef = (owner[:, :, None] * parity[:, None, :]).reshape(len(c), -1)
-    real = np.column_stack([s, t])
-    return _sum_by_key(real, np.abs(real), g, coef)
+        orders = np.array(taus[0].group.G.cyclic_orders)[:, None]
+        keys[2:, :n0] = (keys[2:, :n0] + np.array(dk.coords)[:, None]) % orders
+    keys[:2] = _cluster_labels(real, np.abs(real))
+    return _sum_by_key(keys, coef)
 
 
 def delta_relation(

@@ -38,13 +38,18 @@ from heyde import (
     scalar_automorphism,
     theta_to_measure,
 )
+from heyde.finite_abelian import GroupAutomorphism
 from heyde.measures import _BLOCK, _draw_blocks, order_two_measure, sample_arrays
+from heyde.structure import InstanceSpec, generate_instance
 from heyde.symmetry import (
     KEY_TOL,
+    JointKey,
+    JointLawReport,
     _cluster_labels,
     _cos_sin,
     _default_probe_pairs,
     _on_two_threads,
+    _parity_sums,
     _probe_sums,
     _sample_pair,
 )
@@ -981,3 +986,252 @@ class TestJointLaw:
         other = AmbientGroup(FiniteAbelianGroup((5,)))
         with pytest.raises(ValueError):
             joint_law_residual(dirac(other.zero_point()), dirac(x3.zero_point()), neg_alpha(x3))
+
+
+# --------------------------------------------------------------------------
+# reference keyed sums: the gate and the parity tables as they were computed
+# row by row, one ten-column lexsort over the term pairs and np.add.at
+
+
+def reference_cluster_labels(x, size):
+    order = np.argsort(x, kind="stable")
+    v = x[order]
+    w = size[order]
+    scale = np.maximum(1.0, np.maximum(w[:-1], w[1:]))
+    labels = np.empty(len(x), dtype=np.int64)
+    labels[order] = np.concatenate(([0], np.cumsum(np.diff(v) > KEY_TOL * scale)))
+    return labels
+
+
+def reference_sum_by_key(real, size, finite, coef):
+    labels = np.column_stack([reference_cluster_labels(x, w) for x, w in zip(real.T, size.T)])
+    rows = np.hstack([labels, finite])
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(len(rows), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    sums = np.zeros((int(new.sum()),) + coef.shape[1:])
+    np.add.at(sums, inverse, coef)
+    return ordered[new], order[new], sums
+
+
+def reference_real_keys(s1, s2, t1, t2, a):
+    return np.stack(
+        [
+            np.add.outer(s1, s2),
+            np.add.outer(s1, a * s2),
+            np.add.outer(s1, a * a * s2),
+            np.add.outer(t1, t2),
+            np.add.outer(t1, a * t2),
+        ],
+        axis=-1,
+    ).reshape(-1, 5)
+
+
+def reference_joint_law(mu1, mu2, alpha):
+    G = mu1.group.G
+    orders = np.array(G.cyclic_orders, dtype=np.int64)
+    a = alpha.a
+    c1, s1, t1, m1, g1 = mu1.c, mu1.sigma, mu1.shift, mu1.m, mu1.g
+    c2, s2, t2, m2, g2 = mu2.c, mu2.sigma, mu2.shift, mu2.m, mu2.g
+    g2a = g2 @ np.array(alpha.alpha_G.matrix, dtype=np.int64).T
+    n = np.add.outer(m1, m2).reshape(-1, 1) % 2
+    f1 = ((g1[:, None, :] + g2[None, :, :]) % orders).reshape(-1, G.rank)
+    f2 = ((g1[:, None, :] + g2a[None, :, :]) % orders).reshape(-1, G.rank)
+    finite = np.concatenate([np.hstack([n, f1, f2]), np.hstack([n, f1, -f2 % orders])])
+    with np.errstate(over="ignore", invalid="ignore"):
+        real = reference_real_keys(s1, s2, t1, t2, a)
+        real = np.concatenate([real, real * np.array([1.0, -1.0, 1.0, 1.0, -1.0])])
+        size = reference_real_keys(np.abs(s1), np.abs(s2), np.abs(t1), np.abs(t2), abs(a))
+        size = np.concatenate([size, size])
+        coef = np.multiply.outer(c1, c2).ravel()
+        coef = np.concatenate([coef, -coef])
+        spread = real.max(axis=0) - real.min(axis=0)
+        _, first, sums = reference_sum_by_key(real, size, finite, coef)
+        residual = float(np.abs(sums).sum())
+    if not np.isfinite(spread).all():
+        residual = math.nan
+    if not math.isfinite(residual):
+        raise ValueError(f"equation residual is not finite ({residual})")
+    k = int(np.argmax(np.abs(sums)))
+    if sums[k] == 0.0:
+        return JointLawReport(residual, None)
+    row = first[k]
+    worst = JointKey(
+        int(finite[row, 0]),
+        tuple(int(v) for v in finite[row, 1 : 1 + G.rank]),
+        tuple(int(v) for v in finite[row, 1 + G.rank :]),
+        (float(real[row, 3]), float(real[row, 4])),
+        float(sums[k]),
+    )
+    return JointLawReport(residual, worst)
+
+
+def reference_parity_sums(*taus, dk=None):
+    c, s, t, m, g = (
+        np.concatenate(column)
+        for column in zip(*((tau.c, tau.sigma, tau.shift, tau.m, tau.g) for tau in taus))
+    )
+    if dk is not None:
+        n0 = len(taus[0].c)
+        g[:n0] = (g[:n0] + dk.coords) % np.array(taus[0].group.G.cyclic_orders)
+    owner = np.repeat(np.eye(len(taus)), [len(tau.c) for tau in taus], axis=0)
+    parity = np.column_stack([c, np.where(m == 0, c, -c)])
+    coef = (owner[:, :, None] * parity[:, None, :]).reshape(len(c), -1)
+    real = np.column_stack([s, t])
+    return reference_sum_by_key(real, np.abs(real), g, coef)
+
+
+def report_bits(report):
+    """The report with every float as its hex string, so -0.0 != 0.0."""
+    w = report.worst
+    if w is not None:
+        w = (w.n, w.g1, w.g2, tuple(v.hex() for v in w.mean), w.coefficient.hex())
+    return report.residual.hex(), w
+
+
+def assert_same_gate(mu1, mu2, alpha):
+    assert report_bits(joint_law_report(mu1, mu2, alpha)) == report_bits(
+        reference_joint_law(mu1, mu2, alpha)
+    )
+
+
+def assert_same_parity(*taus, dk=None):
+    keys, first, sums = _parity_sums(*taus, dk=dk)
+    ref_keys, ref_first, ref_sums = reference_parity_sums(*taus, dk=dk)
+    assert keys.dtype == ref_keys.dtype and np.array_equal(keys, ref_keys)
+    assert np.array_equal(first, ref_first)
+    assert sums.shape == ref_sums.shape and sums.tobytes() == ref_sums.tobytes()
+
+
+def random_signed(X, rng, atoms, terms):
+    """A canonical signed measure with terms spread over few real atoms,
+    whose shifts repeat, tie up to their sign of zero and sit within
+    KEY_TOL of each other."""
+    sigma = rng.choice([0.0, 0.5, 1.25, 2.0], atoms)
+    shift = rng.choice([-0.0, 0.0, 0.25, 0.25 + 3e-10, -0.75, 1e3], atoms)
+    rows = []
+    for _ in range(terms):
+        k = int(rng.integers(atoms))
+        g = [int(rng.integers(n)) for n in X.G.cyclic_orders]
+        rows.append((float(rng.normal()), float(sigma[k]), float(shift[k]), int(rng.integers(2)), g))
+    return AtomicSignedMeasure.from_terms(X, rows)
+
+
+class TestKeyedSumReference:
+    """The factored gate (atom-pair clusters, one int64 key per term pair)
+    and the parity tables give the reference's bits: residual, worst key
+    (sign of zero in its mean included), key rows, first rows and sums."""
+
+    W = WORKLOADS
+    GROUPS = (W.Z3, W.Z9, W.Z3Z5, W.Z15Z15)
+
+    @pytest.mark.parametrize("a", (-0.5, -2.0, -3.0, 0.5))
+    @pytest.mark.parametrize("group", GROUPS, ids=lambda g: "x".join(map(str, g[0])))
+    def test_random_measures_match_the_reference(self, group, a):
+        orders, matrix = group
+        X = AmbientGroup(FiniteAbelianGroup(orders))
+        alpha = XAutomorphism(X, a, GroupAutomorphism(X.G, matrix))
+        rng = np.random.default_rng([X.G.order, int(abs(a) * 4), a > 0])
+        for _ in range(4):
+            mu1 = random_signed(X, rng, int(rng.integers(1, 5)), int(rng.integers(1, 14)))
+            mu2 = random_signed(X, rng, int(rng.integers(1, 5)), int(rng.integers(1, 14)))
+            assert_same_gate(mu1, mu2, alpha)
+            dk = X.G.element([int(rng.integers(n)) for n in orders])
+            assert_same_parity(mu1)
+            assert_same_parity(mu1, mu2)
+            assert_same_parity(mu1, mu2, dk=dk)
+        # an exact pair: the sums cancel to 0 or to rounding
+        inst = self.W.draw_instance(random.Random(f"reference:{group}:{a}"), group, a=a, point_mass=a > 0)
+        for mu2 in (inst.mu2, self.W.perturb(inst.mu2)):
+            assert_same_gate(inst.mu1, mu2, inst.alpha)
+            assert_same_parity(inst.mu1, mu2)
+
+    @pytest.mark.parametrize("large_first", (True, False))
+    def test_equal_keys_of_different_sizes_beside_a_gap(self, x3, large_first):
+        # at a = 1 both means are t1 + t2.  Mean 1000 comes from (0, 1000),
+        # operand size 1000, and from (2000, -1000) or (-1000, 2000), size
+        # 3000; its neighbour 1000 + gap is within KEY_TOL of the larger
+        # size only.  So the size of the last pair with mean 1000 decides
+        # whether the two clusters merge: 3000 when the large pair comes
+        # last, 1000 when it comes first
+        gap = 2.5e-6
+        t1 = (-1000.0, 0.0) if large_first else (0.0, 2000.0)
+        t2 = (1000.0, 1000.0 + gap, 2000.0) if large_first else (-1000.0, 1000.0, 1000.0 + gap)
+        c2 = {1000.0: 0.5, 1000.0 + gap: -0.5}
+        mu1 = AtomicSignedMeasure.from_terms(
+            x3, [(0.3 + 0.1 * m, 0.0, t, m, (m,)) for t in t1 for m in (0, 1)]
+        )
+        mu2 = AtomicSignedMeasure.from_terms(
+            x3, [(c2.get(t, 0.2) * (1 + m), 0.0, t, m, (0,)) for t in t2 for m in (0, 1)]
+        )
+        A = XAutomorphism(x3, 1.0, negation_automorphism(x3.G))
+        assert_same_gate(mu1, mu2, A)
+        assert_same_gate(mu2, mu1, A)
+        assert_same_parity(mu1, mu2)
+        sizes = np.array([3000.0, 1000.0]) if not large_first else np.array([1000.0, 1000.0])
+        merged = reference_cluster_labels(np.array([1000.0, 1000.0 + gap]), sizes)
+        assert (merged[0] == merged[1]) == (not large_first)
+
+    def test_signed_zero_shifts(self, x3):
+        # one atom's terms carry shift -0.0 and 0.0; the worst key's mean
+        # keeps the sign its own term pair gives it
+        mu1 = AtomicSignedMeasure.from_terms(
+            x3, [(0.7, 0.0, -0.0, 0, (0,)), (0.3, 0.0, 0.0, 1, (1,))]
+        )
+        mu2 = AtomicSignedMeasure.from_terms(
+            x3, [(0.6, 0.0, -0.0, 0, (2,)), (0.4, 0.0, 0.0, 0, (1,))]
+        )
+        assert math.copysign(1.0, mu1.shift[0]) == -1.0
+        A = neg_alpha(x3, -2.0)
+        rep = joint_law_report(mu1, mu2, A)
+        assert math.copysign(1.0, rep.worst.mean[0]) == -1.0
+        assert_same_gate(mu1, mu2, A)
+        assert_same_gate(mu2, mu1, A)
+        assert_same_parity(mu1, mu2, dk=x3.G.element((1,)))
+
+    def test_overflowing_key_raises_without_warning(self, x3):
+        mu1 = AtomicSignedMeasure.from_terms(
+            x3, [(0.5, 0.0, 1e308, 0, (0,)), (0.5, 0.0, 1e308, 1, (2,))]
+        )
+        mu2 = AtomicSignedMeasure.from_terms(
+            x3, [(0.5, 0.0, -1e308, 0, (0,)), (0.5, 0.0, 0.0, 1, (1,))]
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for report in (joint_law_report, reference_joint_law):
+                with pytest.raises(ValueError, match="not finite"):
+                    report(mu1, mu2, neg_alpha(x3, -2.0))
+
+    def test_dense_support_matches_the_reference(self):
+        # alpha_G = -1 on Z(9) x Z(9): K = G, omega on all of it, 324 terms
+        # a side over 2 real atoms, so the term pairs far outnumber the
+        # atom pairs
+        orders, matrix = (9, 9), ((8, 0), (0, 8))
+        X = AmbientGroup(FiniteAbelianGroup(orders))
+        alpha_G = GroupAutomorphism(X.G, matrix)
+        rng = random.Random("dense")
+        weights = [rng.uniform(0.5, 1.0) for _ in range(2 * X.G.order)]
+        omega2 = AtomicSignedMeasure.from_terms(
+            X,
+            [
+                (w / sum(weights), 0.0, 0.0, k % 2, g)
+                for k, (w, g) in enumerate(zip(weights, [e for e in X.G.elements() for _ in (0, 1)]))
+            ],
+        )
+        inst = generate_instance(
+            InstanceSpec(
+                group=X,
+                a=-2.0,
+                alpha_G=alpha_G,
+                theta2=self.W.draw_theta(rng),
+                omega2=omega2,
+                vartheta_d=0.5,
+                x2=X.point(0.25, 1, (3, 4)),
+            )
+        )
+        assert len(inst.mu1.c) == len(inst.mu2.c) == 4 * X.G.order
+        for mu2 in (inst.mu2, self.W.perturb(inst.mu2)):
+            assert_same_gate(inst.mu1, mu2, inst.alpha)
